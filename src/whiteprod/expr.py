@@ -90,12 +90,15 @@ def compose(*factors: Expr) -> Expr:
     return out
 
 
-def is_zero_expr(e: Expr) -> bool:
-    if isinstance(e, Sum):
-        return all(is_zero_expr(t) for t in e.terms)
-    if isinstance(e, Scalar):
-        return e.n == 0 or is_zero_expr(e.e)
-    return False
+def compose_factors(e: Compose) -> list:
+    """Factors of a left-nested composition, left to right, by a loop."""
+    factors = []
+    while isinstance(e, Compose):
+        factors.append(e.g)
+        e = e.f
+    factors.append(e)
+    factors.reverse()
+    return factors
 
 
 def typecheck(e: Expr, db) -> Optional[Signature]:
@@ -110,13 +113,18 @@ def typecheck(e: Expr, db) -> Optional[Signature]:
             raise UnknownGenerator(f"undeclared generator {e.name!r}")
         return Signature(decl.source_dim, decl.target)
     if isinstance(e, Compose):
-        sf, sg = typecheck(e.f, db), typecheck(e.g, db)
-        if sf is None or sg is None:
-            return None
-        if not sg.target.is_sphere or sg.target.n != sf.source_dim:
-            raise DegreeMismatch(
-                f"cannot compose {sf} with {sg}: inner dimensions disagree")
-        return Signature(sg.source_dim, sf.target)
+        factors = compose_factors(e)
+        sf = typecheck(factors[0], db)
+        for g in factors[1:]:
+            sg = typecheck(g, db)
+            if sf is None or sg is None:
+                sf = None
+                continue
+            if not sg.target.is_sphere or sg.target.n != sf.source_dim:
+                raise DegreeMismatch(
+                    f"cannot compose {sf} with {sg}: inner dimensions disagree")
+            sf = Signature(sg.source_dim, sf.target)
+        return sf
     if isinstance(e, Susp):
         se = typecheck(e.e, db)
         if se is None:
@@ -182,7 +190,7 @@ def expand_powers(e: Expr, db) -> Expr:
         factors = [base if j == 0 else Susp(j * d, base) for j in range(e.k)]
         return compose(*factors)
     if isinstance(e, Compose):
-        return Compose(expand_powers(e.f, db), expand_powers(e.g, db))
+        return compose(*(expand_powers(f, db) for f in compose_factors(e)))
     if isinstance(e, Susp):
         return Susp(e.count, expand_powers(e.e, db))
     if isinstance(e, Sum):
@@ -215,13 +223,13 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Compose):
         # left-nested chains flatten to "a . b . c"; a right-nested factor
         # keeps parentheses so parsing restores the same tree
-        left = format_expr(e.f)
-        if _needs_parens_in_compose(e.f):
-            left = f"({left})"
-        right = format_expr(e.g)
-        if _needs_parens_in_compose(e.g) or isinstance(e.g, Compose):
-            right = f"({right})"
-        return f"{left} . {right}"
+        pieces = []
+        for f in compose_factors(e):
+            text = format_expr(f)
+            if _needs_parens_in_compose(f) or isinstance(f, Compose):
+                text = f"({text})"
+            pieces.append(text)
+        return " . ".join(pieces)
     if isinstance(e, Susp):
         inner = format_expr(e.e)
         if _needs_parens_in_susp(e.e):

@@ -174,9 +174,7 @@ class RelationDB:
         return self._rel_index.get(chain.key())
 
     def bracket_relation(self, left, right) -> Optional[Relation]:
-        atom = R.BracketAtom(left, right)
-        ch = R.Chain((atom,), atom.dom, atom.space)
-        return self._rel_index.get(ch.key())
+        return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}).key())
 
     def add_order_fact(self, fact: OrderFact):
         key = fact.chain.key()
@@ -275,12 +273,34 @@ def _parse_expr(text: str, path: str, lineno: int) -> E.Expr:
         raise RelationsFileError(f"bad expression {text!r}: {exc}", path, lineno) from None
 
 
-def _unit_chain_of(e: E.Expr, db: RelationDB, path: str, lineno: int, what: str):
+def _unit(terms) -> Optional["R.Chain"]:
+    """The chain of a single unit-coefficient (Chain, coeff) term, else None."""
+    return terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
+
+
+def _composite_bracket(terms) -> bool:
+    """True when some bracket atom in the terms has a non-unit argument."""
+    return any(_unit(arg) is None or _composite_bracket(arg)
+               for ch, _ in terms for a in ch.atoms
+               if isinstance(a, R.BracketAtom) for arg in (a.left, a.right))
+
+
+def _flatten_entry(e: E.Expr, db: RelationDB, path: str, lineno: int,
+                   what: str) -> dict:
+    """Flatten a file entry; data entries may bracket only single chains."""
     try:
         fs = R.flatten(E.expand_powers(e, db), db)
     except R.Blocked as b:
         raise RelationsFileError(f"{what} does not flatten: {b.reason}", path, lineno)
-    ch = R.unit_chain(fs)
+    if _composite_bracket(fs.items()):
+        raise RelationsFileError(
+            f"{what} does not flatten: bracket of composite arguments",
+            path, lineno)
+    return fs
+
+
+def _unit_chain_of(e: E.Expr, db: RelationDB, path: str, lineno: int, what: str):
+    ch = _unit(list(_flatten_entry(e, db, path, lineno, what).items()))
     if ch is None:
         raise RelationsFileError(
             f"{what} must be a single unit-coefficient composition", path, lineno)
@@ -451,11 +471,7 @@ def load_relations_text(text: str, path: str = "<string>") -> RelationDB:
                 raise RelationsFileError(
                     f"rel sides disagree: {sig_l} vs {sig_r}", path, ln.lineno)
             chain = _unit_chain_of(lhs, db, path, ln.lineno, "rel lhs")
-            try:
-                rhs_fs = R.flatten(E.expand_powers(rhs, db), db)
-            except R.Blocked as b:
-                raise RelationsFileError(f"rel rhs does not flatten: {b.reason}",
-                                         path, ln.lineno)
+            rhs_fs = _flatten_entry(rhs, db, path, ln.lineno, "rel rhs")
             rel = Relation(name=f"{lhs_text.strip()} = {rhs_text.strip()}",
                            lhs=lhs, rhs=rhs, provenance=ln.src,
                            lhs_chain=chain, rhs_fs=rhs_fs)

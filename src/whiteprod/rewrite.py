@@ -1,9 +1,11 @@
 """Relation-driven normalization of expressions into group-table elements.
 
-Internally an expression is flattened to a formal integer combination of
-*chains*: composition strings of atoms (named generators, symbolic
-suspensions of named generators, and inert Whitehead-bracket atoms).
-Normalization then loops three phases to a fixed point:
+Internally an expression is flattened once to a formal integer
+combination of *chains*: composition strings of atoms (named generators,
+symbolic suspensions of named generators, and inert Whitehead-bracket
+atoms, whose two arguments are themselves nonzero formal sums).
+``normalize`` typechecks and flattens; ``normalize_fs`` then loops three
+phases over the formal sum to a fixed point:
 
   resolve    match all chains against the basis chains of the table for
              the expression's signature;
@@ -86,20 +88,18 @@ class SuspAtom:
 
 @dataclass(frozen=True)
 class BracketAtom:
-    left: "Chain"
-    right: "Chain"
+    """[f, g]; each side a tuple of (Chain, coeff) sorted by Chain.key."""
+
+    left: tuple
+    right: tuple
 
     @property
     def dom(self) -> int:
-        return self.left.dom + self.right.dom - 1
+        return self.left[0][0].dom + self.right[0][0].dom - 1
 
     @property
     def space(self) -> Space:
-        return self.left.space
-
-    @property
-    def cod(self) -> int:
-        return self.left.space.n
+        return self.left[0][0].space
 
     @property
     def order(self) -> int:
@@ -110,7 +110,8 @@ class BracketAtom:
         return False
 
     def key(self):
-        return ("b", self.left.key(), self.right.key())
+        return ("b", tuple((ch.key(), c) for ch, c in self.left),
+                tuple((ch.key(), c) for ch, c in self.right))
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,10 @@ class Chain:
     @property
     def is_suspension_class(self) -> bool:
         return all(a.is_susp for a in self.atoms)
+
+    @property
+    def signature(self) -> E.Signature:
+        return E.Signature(self.dom, self.space)
 
     def compose(self, other: "Chain") -> "Chain":
         if not other.space.is_sphere or other.space.n != self.dom:
@@ -147,8 +152,18 @@ def identity_chain(n: int) -> Chain:
     return Chain((), n, sphere(n))
 
 
+def bracket_chain(left: dict, right: dict) -> Chain:
+    """The one-atom chain [left, right] of two nonzero formal sums."""
+    atom = BracketAtom(*(tuple(sorted(fs.items(), key=lambda t: t[0].key()))
+                         for fs in (left, right)))
+    return Chain((atom,), atom.dom, atom.space)
+
+
 # ---------------------------------------------------------------------------
 # formal sums  {Chain: coeff}
+
+LINEARITY = "sum or multiple cannot cross a non-suspension right factor"
+
 
 class Blocked(Exception):
     """Raised when flattening hits a non-distributable composition."""
@@ -188,6 +203,12 @@ def fs_compose(a: dict, b: dict) -> Optional[dict]:
             if out[w] == 0:
                 del out[w]
     return out
+
+
+def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
+    """``ch`` with atoms i..j-1 replaced by ``fs``; None when linearity blocks."""
+    mid = fs if i == 0 else fs_compose({ch.prefix(i): 1}, fs)
+    return fs_compose(mid, {ch.suffix(j): 1})
 
 
 def susp_atom(atom, k: int, db):
@@ -248,6 +269,12 @@ def fs_susp(a: dict, k: int, db) -> dict:
     return out
 
 
+def smash_fs(a: dict, b: dict, q: int, p_src: int, db) -> dict:
+    """a ^ b as S^q a . S^{p'} b, for a: S^{p'} -> S^p and b: S^{q'} -> S^q;
+    smash-coordinate signs are fixed to +, the database-wide convention."""
+    return fs_compose(fs_susp(a, q, db), fs_susp(b, p_src, db))
+
+
 # ---------------------------------------------------------------------------
 # flattening expressions
 
@@ -263,11 +290,12 @@ def flatten(e: E.Expr, db) -> dict:
         atom = _gen_atom(db, e.name)
         return {Chain((atom,), atom.dom, atom.space): 1}
     if isinstance(e, E.Compose):
-        left, right = flatten(e.f, db), flatten(e.g, db)
-        out = fs_compose(left, right)
-        if out is None:
-            raise Blocked(
-                "sum or multiple cannot cross a non-suspension right factor")
+        factors = E.compose_factors(e)
+        out = flatten(factors[0], db)
+        for g in factors[1:]:
+            out = fs_compose(out, flatten(g, db))
+            if out is None:
+                raise Blocked(LINEARITY)
         return out
     if isinstance(e, E.Susp):
         return fs_susp(flatten(e.e, db), e.count, db)
@@ -282,28 +310,12 @@ def flatten(e: E.Expr, db) -> dict:
         fl, fr = flatten(e.f, db), flatten(e.g, db)
         if not fl or not fr:
             return {}  # a bracket with a constant factor is trivial
-        lu = _unit_chain(fl)
-        ru = _unit_chain(fr)
-        if lu is None or ru is None:
-            raise Blocked("bracket of composite arguments; use the bracket calculus")
-        atom = BracketAtom(lu, ru)
-        return {Chain((atom,), atom.dom, atom.space): 1}
+        return {bracket_chain(fl, fr): 1}
     if isinstance(e, E.HigherBracket):
         raise Blocked("higher products are set-valued; use the product operations")
     if isinstance(e, E.Power):
         return flatten(E.expand_powers(e, db), db)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def unit_chain(fs: dict) -> Optional[Chain]:
-    if len(fs) == 1:
-        ch, c = next(iter(fs.items()))
-        if c == 1:
-            return ch
-    return None
-
-
-_unit_chain = unit_chain
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +327,7 @@ def atom_to_expr(a) -> E.Expr:
     if isinstance(a, SuspAtom):
         return E.Susp(a.k, E.gen(a.base.name))
     if isinstance(a, BracketAtom):
-        return E.Bracket(chain_to_expr(a.left), chain_to_expr(a.right))
+        return E.Bracket(unflatten(dict(a.left)), unflatten(dict(a.right)))
     raise TypeError(a)
 
 
@@ -359,10 +371,13 @@ class TraceStep:
 
 @dataclass
 class NormalForm:
+    """A resolved form is zero exactly when ``fs`` is empty; its element
+    is None only when its signature has no table.  A residue's ``fs`` is
+    None when flattening was blocked and only ``expr`` remains."""
+
     status: str  # "resolved" | "residue"
     signature: Optional[E.Signature]
     element: Optional[GroupElement] = None
-    zero: bool = False
     expr: Optional[E.Expr] = None
     reason: Optional[str] = None
     trace: list = field(default_factory=list)
@@ -374,35 +389,20 @@ class NormalForm:
 
     @property
     def is_zero(self) -> bool:
-        if self.status != "resolved":
-            return False
-        return self.zero or (self.element is not None and self.element.is_zero)
+        return self.is_resolved and not self.fs
 
     def display(self) -> str:
         if self.is_resolved:
-            return "0" if self.is_zero and self.element is None else str(self.element)
+            return "0" if self.element is None else str(self.element)
         return E.format_expr(self.expr) if self.expr is not None else "<residue>"
-
-    def terms(self) -> list:
-        return [(c, ch) for ch, c in (self.fs or {}).items()]
 
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        if self.status != other.status:
-            return False
-        if self.status == "resolved":
-            if self.is_zero and other.is_zero:
-                return self.signature == other.signature
-            return self.element == other.element
-        if (self.fs is None) != (other.fs is None):
-            return False
-        if self.fs is None:
-            return (self.signature == other.signature
-                    and self.display() == other.display())
-        return (self.signature == other.signature
-                and sorted((ch.key(), c) for ch, c in self.fs.items())
-                == sorted((ch.key(), c) for ch, c in other.fs.items()))
+        return (self.status == other.status
+                and self.signature == other.signature
+                and self.element == other.element and self.fs == other.fs
+                and (self.fs is not None or self.display() == other.display()))
 
     def to_json(self) -> dict:
         out = {"status": self.status,
@@ -415,6 +415,19 @@ class NormalForm:
         else:
             out["reason"] = self.reason
         return out
+
+
+def residue(fs: dict, sig: Optional[E.Signature], reason: str,
+            trace: list) -> NormalForm:
+    return NormalForm("residue", sig, expr=unflatten(fs), reason=reason,
+                      trace=trace, fs=fs)
+
+
+def zero_form(sig: Optional[E.Signature], db, trace: list) -> NormalForm:
+    """Resolved zero, carrying the table's zero when the signature has one."""
+    table = db.table(sig.target, sig.source_dim) if sig is not None else None
+    return NormalForm("resolved", sig, element=table.zero() if table else None,
+                      trace=trace, fs={})
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +474,12 @@ def chain_annihilator(ch: Chain, db) -> int:
     return g
 
 
-def _try_resolve(fs: dict, sig: Optional[E.Signature], db):
-    if sig is None:
-        if not fs:
-            return NormalForm("resolved", None, zero=True, fs={})
-        return None
-    table = db.table(sig.target, sig.source_dim)
-    if not fs:
-        if table is not None:
-            return NormalForm("resolved", sig, element=table.zero(), fs={})
-        return NormalForm("resolved", sig, zero=True, fs={})
+def _try_resolve(fs: dict, sig: Optional[E.Signature], db, trace):
+    table = db.table(sig.target, sig.source_dim) if sig is not None else None
+    if not fs or (table is not None and not table.gens and table.is_full):
+        return zero_form(sig, db, trace)
     if table is None:
         return None
-    if not table.gens and table.is_full:
-        return NormalForm("resolved", sig, element=table.zero(), fs={})
     coeffs = [0] * table.rank()
     for ch, c in fs.items():
         hit = db.basis_lookup(ch)
@@ -482,10 +487,9 @@ def _try_resolve(fs: dict, sig: Optional[E.Signature], db):
             return None
         coeffs[hit[1]] += c
     elt = table.element(coeffs)
-    nf = NormalForm("resolved", sig, element=elt)
-    nf.fs = {db.basis_chains(table.key)[i]: c
-             for i, c in enumerate(elt.coeffs) if c}
-    return nf
+    return NormalForm("resolved", sig, element=elt, trace=trace,
+                      fs={db.basis_chains(table.key)[i]: c
+                          for i, c in enumerate(elt.coeffs) if c})
 
 
 def _reduce_coefficients(fs: dict, db, trace) -> bool:
@@ -537,10 +541,7 @@ def _apply_relations(fs: dict, db, trace, relation_order, reverse_scan) -> bool:
                 if shifted is None or shifted.atoms != ch.atoms[i:i + m]:
                     continue
                 rhs = rel.rhs_fs if k == 0 else fs_susp(rel.rhs_fs, k, db)
-                prefix = {ch.prefix(i): 1}
-                suffix = {ch.suffix(i + m): 1}
-                mid = fs_compose(prefix, rhs)
-                replaced = fs_compose(mid, suffix) if mid is not None else None
+                replaced = splice(ch, i, i + m, rhs)
                 if replaced is None:
                     continue
                 c = fs.pop(ch)
@@ -571,35 +572,40 @@ def normalize(e: E.Expr, db, *, sig_hint: Optional[E.Signature] = None,
     try:
         fs = flatten(e2, db)
     except Blocked as b:
-        nf = NormalForm("residue", sig, expr=e2, reason=b.reason, trace=trace)
-        nf.fs = None
-        return nf
+        return NormalForm("residue", sig, expr=e2, reason=b.reason, trace=trace)
+    return normalize_fs(fs, sig, db, relation_order=relation_order,
+                        reverse_scan=reverse_scan, trace=trace)
 
+
+def normalize_fs(fs: dict, sig: Optional[E.Signature], db, *,
+                 relation_order: Optional[Sequence[int]] = None,
+                 reverse_scan: bool = False,
+                 trace: Optional[list] = None) -> NormalForm:
+    """Run the resolve/reduce/rewrite loop on a formal sum of signature
+    ``sig``; ``fs`` itself is left unchanged."""
+    if trace is None:
+        trace = []
+    start, fs = fs, dict(fs)
     steps = 0
     while True:
         steps += 1
         if steps > STEP_LIMIT:
             raise StepLimitExceeded(
-                f"no fixed point after {STEP_LIMIT} steps for {E.format_expr(e)}")
-        resolved = _try_resolve(fs, sig, db)
+                f"no fixed point after {STEP_LIMIT} steps for {render(start)}")
+        resolved = _try_resolve(fs, sig, db, trace)
         if resolved is not None:
-            if resolved.element is not None and fs:
+            if fs:
                 trace.append(TraceStep(
                     "resolve", f"element of {resolved.element.table.key}",
                     render(fs), resolved.display()))
-            resolved.trace = trace
             return resolved
         if _reduce_coefficients(fs, db, trace):
             continue
         if _apply_relations(fs, db, trace, relation_order, reverse_scan):
             continue
         break
-
-    nf = NormalForm("residue", sig, expr=unflatten(fs),
-                    reason="no table or relation resolves the remaining chains",
-                    trace=trace)
-    nf.fs = fs
-    return nf
+    return residue(fs, sig, "no table or relation resolves the remaining chains",
+                   trace)
 
 
 # ---------------------------------------------------------------------------
@@ -647,24 +653,6 @@ def _susp_ast(e: E.Expr, k: int, db) -> E.Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def susp_soft(e: E.Expr, k: int, db) -> E.Expr:
-    """suspend(), falling back to a symbolic Susp node where names run out."""
-    if k == 0:
-        return e
-    try:
-        return suspend(e, k, db)
-    except NoSuspensionFamily:
-        return E.Susp(k, e)
-
-
-def is_suspension_class(e: E.Expr, db) -> bool:
-    try:
-        fs = flatten(E.expand_powers(e, db), db)
-    except Blocked:
-        return False
-    return all(ch.is_suspension_class for ch in fs)
-
-
 def smash(a: E.Expr, b: E.Expr, db) -> E.Expr:
     """Realize a ^ b as S^q a . S^{p'} b for a: S^{p'}->S^p, b: S^{q'}->S^q."""
     sa, sb = E.typecheck(a, db), E.typecheck(b, db)
@@ -672,12 +660,11 @@ def smash(a: E.Expr, b: E.Expr, db) -> E.Expr:
         return E.ZERO
     if not (sa.target.is_sphere and sb.target.is_sphere):
         raise DegreeMismatch("smash realization needs sphere factors")
-    if not (is_suspension_class(a, db) and is_suspension_class(b, db)):
-        raise NotASuspension("smash factors must be suspension classes")
-    left = susp_soft(a, sb.target.n, db)
-    right = susp_soft(b, sa.source_dim, db)
-    out = E.Compose(left, right)
     try:
-        return unflatten(flatten(out, db))
+        fa, fb = (flatten(E.expand_powers(x, db), db) for x in (a, b))
+        ok = all(ch.is_suspension_class for ch in (*fa, *fb))
     except Blocked:
-        return out
+        ok = False
+    if not ok:
+        raise NotASuspension("smash factors must be suspension classes")
+    return unflatten(smash_fs(fa, fb, sb.target.n, sa.source_dim, db))

@@ -1,11 +1,13 @@
 """Whitehead bracket calculus and higher-product operations.
 
-``bracket`` evaluates classical products by combining bilinearity over
-sphere domains, the relatively-prime-orders rule, ground bracket
-relations, naturality across a common head factor, and the smash
-factorization [f . Sa, g . Sb] = [f, g] . S(a ^ b), before handing the
-result to the rewrite engine.  Everything that cannot be certified comes
-back as a residue, never as a guess.
+The calculus works on formal sums of chains: ``bracket`` normalizes its
+Expr arguments once, and its rules take and return formal sums.  They
+combine bilinearity over sphere domains (and a finite target's exponent),
+the relatively-prime-orders rule, ground bracket relations, naturality
+across a common head factor, and the smash factorization
+[f . Sa, g . Sb] = [f, g] . S(a ^ b); ``evaluate`` expands the bracket
+atoms of a residue the same way.  Everything that cannot be certified
+comes back as a residue, never as a guess.
 
 Higher products are set-valued; the operations here compute the three
 things the coset calculus pins down exactly: emptiness (a nonvanishing
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Optional, Sequence
 
 from . import expr as E
 from . import rewrite as R
@@ -43,94 +45,60 @@ def element_to_expr(elt: GroupElement, db) -> E.Expr:
     return R.unflatten(fs)
 
 
-def normalform_to_expr(nf: R.NormalForm, db) -> E.Expr:
-    if nf.is_resolved:
-        if nf.element is not None:
-            return element_to_expr(nf.element, db)
-        return E.ZERO
-    return nf.expr if nf.expr is not None else E.ZERO
+def _chain_label(ch: R.Chain) -> str:
+    return R.render({ch: 1})
 
 
-def _contains_bracket(e: E.Expr) -> bool:
-    if isinstance(e, E.Bracket):
-        return True
-    if isinstance(e, E.Compose):
-        return _contains_bracket(e.f) or _contains_bracket(e.g)
-    if isinstance(e, E.Susp):
-        return _contains_bracket(e.e)
-    if isinstance(e, E.Sum):
-        return any(_contains_bracket(t) for t in e.terms)
-    if isinstance(e, E.Scalar):
-        return _contains_bracket(e.e)
-    if isinstance(e, E.Power):
-        return _contains_bracket(e.e)
-    return False
-
-
-def evaluate(e: E.Expr, db, *, sig_hint=None, trace: Optional[list] = None,
-             _depth: int = 0) -> R.NormalForm:
-    """Normalize, expanding bracket subterms by the bracket calculus
+def evaluate(e: E.Expr, db, *, sig_hint=None,
+             trace: Optional[list] = None) -> R.NormalForm:
+    """Normalize, expanding bracket atoms by the bracket calculus
     whenever plain rewriting stalls on them."""
-    if trace is None:
-        trace = []
-    if _depth > _MAX_DEPTH:
-        return R.NormalForm("residue", None, expr=e,
-                            reason="bracket recursion limit", trace=trace)
     nf = R.normalize(e, db, sig_hint=sig_hint, trace=trace)
-    if nf.is_resolved:
-        return nf
-    base = nf.expr if nf.expr is not None else e
-    if not _contains_bracket(base):
-        return nf
-    expanded = _expand_one_bracket(base, db, trace, _depth)
-    if expanded is None or expanded == base:
-        return nf
-    return evaluate(expanded, db, sig_hint=sig_hint or nf.signature,
-                    trace=trace, _depth=_depth + 1)
+    return _expand_brackets(nf, db, nf.trace, 0)
 
 
-def _expand_one_bracket(e: E.Expr, db, trace, depth) -> Optional[E.Expr]:
-    """Replace the leftmost innermost bracket by its evaluated value."""
-    if isinstance(e, E.Bracket):
-        inner_f = _expand_one_bracket(e.f, db, trace, depth)
-        if inner_f is not None:
-            return E.Bracket(inner_f, e.g)
-        inner_g = _expand_one_bracket(e.g, db, trace, depth)
-        if inner_g is not None:
-            return E.Bracket(e.f, inner_g)
-        nf = bracket(e.f, e.g, db, trace=trace, _depth=depth + 1)
-        value = normalform_to_expr(nf, db)
-        if value == e:
-            return None
-        return value
-    if isinstance(e, E.Compose):
-        f2 = _expand_one_bracket(e.f, db, trace, depth)
-        if f2 is not None:
-            return E.Compose(f2, e.g)
-        g2 = _expand_one_bracket(e.g, db, trace, depth)
-        if g2 is not None:
-            return E.Compose(e.f, g2)
-        return None
-    if isinstance(e, E.Susp):
-        inner = _expand_one_bracket(e.e, db, trace, depth)
-        return E.Susp(e.count, inner) if inner is not None else None
-    if isinstance(e, E.Sum):
-        for i, t in enumerate(e.terms):
-            t2 = _expand_one_bracket(t, db, trace, depth)
-            if t2 is not None:
-                return E.Sum(e.terms[:i] + (t2,) + e.terms[i + 1:])
-        return None
-    if isinstance(e, E.Scalar):
-        inner = _expand_one_bracket(e.e, db, trace, depth)
-        return E.Scalar(e.n, inner) if inner is not None else None
-    return None
+def evaluate_fs(fs: dict, sig: Optional[E.Signature], db, *,
+                trace: Optional[list] = None, _depth: int = 0) -> R.NormalForm:
+    """``evaluate`` for a formal sum of signature ``sig``."""
+    if _depth > _MAX_DEPTH:
+        return R.residue(fs, sig, "bracket recursion limit",
+                         [] if trace is None else trace)
+    nf = R.normalize_fs(fs, sig, db, trace=trace)
+    return _expand_brackets(nf, db, nf.trace, _depth)
+
+
+def _expand_brackets(nf: R.NormalForm, db, trace, depth) -> R.NormalForm:
+    """Replace the first bracket atom of a residue (in Chain.key order, then
+    left to right) whose value differs from it, and evaluate again."""
+    if nf.is_resolved or not nf.fs:
+        return nf
+    for ch in sorted(nf.fs, key=R.Chain.key):
+        for i, atom in enumerate(ch.atoms):
+            if not isinstance(atom, R.BracketAtom):
+                continue
+            single = R.Chain((atom,), atom.dom, atom.space)
+            nf_f, nf_g = (evaluate_fs(dict(arg), arg[0][0].signature, db,
+                                      trace=trace, _depth=depth + 2)
+                          for arg in (atom.left, atom.right))
+            value = _bracket_nf(nf_f, nf_g, single.signature, db, trace,
+                                depth + 1, lambda: R.render({single: 1})).fs
+            if value == {single: 1}:
+                continue
+            out = R.splice(ch, i, i + 1, value)
+            if out is None:
+                return R.residue(nf.fs, nf.signature, R.LINEARITY, trace)
+            rest = {w: c for w, c in nf.fs.items() if w != ch}
+            fs = R.fs_add(rest, R.fs_scale(out, nf.fs[ch]))
+            return evaluate_fs(fs, nf.signature, db, trace=trace,
+                               _depth=depth + 1)
+    return nf
 
 
 # ---------------------------------------------------------------------------
 # the classical bracket
 
-def bracket(f: E.Expr, g: E.Expr, db, *, trace: Optional[list] = None,
-            _depth: int = 0) -> R.NormalForm:
+def bracket(f: E.Expr, g: E.Expr, db, *,
+            trace: Optional[list] = None) -> R.NormalForm:
     """Evaluate the classical Whitehead product [f, g]."""
     if trace is None:
         trace = []
@@ -141,54 +109,55 @@ def bracket(f: E.Expr, g: E.Expr, db, *, trace: Optional[list] = None,
     if sf is not None and sg is not None:
         sig = E.Signature(sf.source_dim + sg.source_dim - 1, sf.target)
 
-    nf_f = evaluate(f, db, trace=trace, _depth=_depth + 1)
-    nf_g = evaluate(g, db, trace=trace, _depth=_depth + 1)
-    if nf_f.is_resolved and nf_f.is_zero or nf_g.is_resolved and nf_g.is_zero:
-        trace.append(R.TraceStep("zero-factor", "bracket with a trivial class",
-                                 f"[{E.format_expr(f)}, {E.format_expr(g)}]", "0"))
-        table = db.table(sig.target, sig.source_dim) if sig else None
-        return R.NormalForm("resolved", sig, zero=True,
-                            element=table.zero() if table else None,
-                            trace=trace, fs={})
-    if nf_f.fs is None or nf_g.fs is None:
+    nf_f = evaluate(f, db, trace=trace)
+    nf_g = evaluate(g, db, trace=trace)
+    if not (nf_f.is_zero or nf_g.is_zero) and (nf_f.fs is None or nf_g.fs is None):
         return R.NormalForm(
             "residue", sig, expr=E.Bracket(f, g),
             reason="bracket arguments do not normalize to chains",
             trace=trace)
+    return _bracket_nf(nf_f, nf_g, sig, db, trace, 0,
+                       lambda: f"[{E.format_expr(f)}, {E.format_expr(g)}]")
 
-    contributions = []
-    for c, u in nf_f.terms():
-        for d, v in nf_g.terms():
-            term = _pair_bracket(c * d, u, v, db, trace, _depth)
+
+def _bracket_nf(nf_f: R.NormalForm, nf_g: R.NormalForm,
+                sig: Optional[E.Signature], db, trace, depth,
+                shown: Callable[[], str]) -> R.NormalForm:
+    """[f, g] from its arguments' normal forms; ``shown`` renders the input."""
+    if nf_f.is_zero or nf_g.is_zero:
+        trace.append(R.TraceStep("zero-factor", "bracket with a trivial class",
+                                 shown(), "0"))
+        return R.zero_form(sig, db, trace)
+
+    total: dict = {}
+    for u, c in nf_f.fs.items():
+        for v, d in nf_g.fs.items():
+            term = _pair_bracket(c * d, u, v, db, trace)
             if term is None:
-                return R.NormalForm(
-                    "residue", sig,
-                    expr=E.Bracket(normalform_to_expr(nf_f, db),
-                                   normalform_to_expr(nf_g, db)),
-                    reason=f"no rule applies to [{E.format_expr(R.chain_to_expr(u))}, "
-                           f"{E.format_expr(R.chain_to_expr(v))}]",
-                    trace=trace)
-            contributions.append(term)
-    total = E.Sum(tuple(contributions))
-    return evaluate(total, db, sig_hint=sig, trace=trace, _depth=_depth + 1)
+                return R.residue(
+                    {R.bracket_chain(nf_f.fs, nf_g.fs): 1}, sig,
+                    f"no rule applies to [{_chain_label(u)}, {_chain_label(v)}]",
+                    trace)
+            total = R.fs_add(total, term)
+    return evaluate_fs(total, sig, db, trace=trace, _depth=depth + 1)
 
 
-def _chain_label(ch: R.Chain) -> str:
-    return E.format_expr(R.chain_to_expr(ch))
-
-
-def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db, trace,
-                  depth: int) -> Optional[E.Expr]:
-    """One bilinear summand k*[u, v]; returns an expression or None."""
-    p, q = u.dom, v.dom
+def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db,
+                  trace) -> Optional[dict]:
+    """One bilinear summand k*[u, v]; returns a formal sum or None."""
     ann_u = R.chain_annihilator(u, db)
     ann_v = R.chain_annihilator(v, db)
+    target = db.table(u.space, u.dom + v.dom - 1)
+    finite = target is not None and target.is_full and 0 not in target.orders
+    exponent = lcm(*target.orders) if finite else 0  # 0: unknown
 
     # bilinearity: the coefficient may sit on either factor, so it only
-    # matters modulo the gcd of the two annihilators
+    # matters modulo the gcd of the two annihilators; the bracket also
+    # lives in the target group, so that group's exponent joins the gcd
     g = gcd(ann_u, ann_v)
-    if g:
-        k2 = k % g
+    ge = gcd(g, exponent)
+    if ge:
+        k2 = k % ge
         if k2 != k:
             if k2 == 0:
                 if ann_u and ann_v and gcd(ann_u, ann_v) == 1:
@@ -196,22 +165,25 @@ def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db, trace,
                               f"kills [{_chain_label(u)}, {_chain_label(v)}]")
                     rule = "coprime"
                 else:
+                    why = (f"{g} annihilates a factor" if g and k % g == 0 else
+                           f"the exponent {exponent} of the target "
+                           f"{target.key} annihilates the bracket")
                     detail = (f"[{_chain_label(u)}, {k} {_chain_label(v)}] = "
                               f"[{k} {_chain_label(u)}, {_chain_label(v)}] = 0 "
-                              f"({g} annihilates a factor)")
+                              f"({why})")
                     rule = "bilinearity"
                 trace.append(R.TraceStep(
                     rule, detail,
                     f"{k} [{_chain_label(u)}, {_chain_label(v)}]", "0"))
-                return E.ZERO
+                return {}
             trace.append(R.TraceStep(
                 "bilinearity",
-                f"coefficient {k} = {k2} (mod {g}) across the bracket",
+                f"coefficient {k} = {k2} (mod {ge}) across the bracket",
                 f"{k} [{_chain_label(u)}, {_chain_label(v)}]",
                 f"{k2} [{_chain_label(u)}, {_chain_label(v)}]"))
             k = k2
     if k == 0:
-        return E.ZERO
+        return {}
 
     ground = _ground_bracket(k, u, v, db, trace)
     if ground is not None:
@@ -224,21 +196,18 @@ def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db, trace,
     if m:
         head = u.prefix(m)
         u2, v2 = u.suffix(m), v.suffix(m)
-        out = E.Compose(R.chain_to_expr(head),
-                        E.Bracket(R.chain_to_expr(u2), R.chain_to_expr(v2)))
-        if k != 1:
-            out = E.Scalar(k, out)
+        out = {head.compose(R.bracket_chain({u2: 1}, {v2: 1})): k}
         trace.append(R.TraceStep(
             "naturality",
             f"[{_chain_label(u)}, {_chain_label(v)}] = "
             f"{_chain_label(head)} . [{_chain_label(u2)}, {_chain_label(v2)}]",
-            f"[{_chain_label(u)}, {_chain_label(v)}]", E.format_expr(out)))
+            f"[{_chain_label(u)}, {_chain_label(v)}]", R.render(out)))
         return out
 
     return _smash_split(k, u, v, db, trace)
 
 
-def _ground_bracket(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[E.Expr]:
+def _ground_bracket(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]:
     rel = db.bracket_relation(u, v)
     sign = 1
     if rel is None:
@@ -247,14 +216,12 @@ def _ground_bracket(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[E.Exp
             sign = (-1) ** (u.dom * v.dom)
     if rel is None:
         return None
-    out = rel.rhs
-    if k * sign != 1:
-        out = E.Scalar(k * sign, out)
+    out = R.fs_scale(rel.rhs_fs, k * sign)
     note = "" if sign == 1 else f" (anticommutativity sign {sign})"
     trace.append(R.TraceStep(
         "relation", f"{rel.name}{note}",
         f"{k} [{_chain_label(u)}, {_chain_label(v)}]",
-        E.format_expr(out), rel.provenance))
+        R.render(out), rel.provenance))
     return out
 
 
@@ -283,7 +250,7 @@ def _desusp_chain(ch: R.Chain, db) -> Optional[R.Chain]:
     return R.Chain(tuple(atoms), ch.dom - 1, sphere(ch.space.n - 1))
 
 
-def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[E.Expr]:
+def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]:
     """[head_u . Sa, head_v . Sb] = [head_u, head_v] . S(a ^ b)."""
     candidates = []
     for hu, a in _split_options(u, db):
@@ -305,37 +272,16 @@ def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[E.Expr]:
         return 2
 
     hu, a, hv, b = min(candidates, key=rank)
-    a_expr, b_expr = R.chain_to_expr(a), R.chain_to_expr(b)
-    realized = _smash_realize(a_expr, b_expr, db)
-    inner = E.Bracket(R.chain_to_expr(hu), R.chain_to_expr(hv))
-    out = E.Compose(inner, R.susp_soft(realized, 1, db))
-    if k != 1:
-        out = E.Scalar(k, out)
+    realized = R.smash_fs({a: 1}, {b: 1}, b.space.n, a.dom, db)
+    out = R.fs_scale(R.fs_compose({R.bracket_chain({hu: 1}, {hv: 1}): 1},
+                                  R.fs_susp(realized, 1, db)), k)
     trace.append(R.TraceStep(
         "smash",
         f"[{_chain_label(u)}, {_chain_label(v)}] = "
         f"[{_chain_label(hu)}, {_chain_label(hv)}] . "
-        f"S({E.format_expr(a_expr)} ^ {E.format_expr(b_expr)})",
-        f"[{_chain_label(u)}, {_chain_label(v)}]", E.format_expr(out)))
+        f"S({_chain_label(a)} ^ {_chain_label(b)})",
+        f"[{_chain_label(u)}, {_chain_label(v)}]", R.render(out)))
     return out
-
-
-def _smash_realize(a: E.Expr, b: E.Expr, db) -> E.Expr:
-    """S^q a . S^{p'} b without the public suspension-class precondition.
-
-    Signs introduced by permuting smash coordinates are fixed to +, the
-    database-wide convention.
-    """
-    sa, sb = E.typecheck(a, db), E.typecheck(b, db)
-    if sa is None or sb is None:
-        return E.ZERO
-    left = R.susp_soft(a, sb.target.n, db)
-    right = R.susp_soft(b, sa.source_dim, db)
-    out = E.Compose(left, right)
-    try:
-        return R.unflatten(R.flatten(out, db))
-    except R.Blocked:
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,35 +420,36 @@ def indeterminacy(spec: ProductSpec, db) -> Subgroup:
     out_table = db.table(target, M - 1)
     if out_table is None:
         raise MissingTable(f"no table for pi_{M - 1}({target})")
+    sig = E.Signature(M - 1, target)
     gens = []
     for i, f in enumerate(spec.factors):
         k = M - dims[i]
         t = db.table(target, k)
         if t is None:
             raise MissingTable(f"no table for pi_{k}({target})")
+        nf_f = evaluate(f, db)
         if not t.is_full:
-            nf = evaluate(f, db)
-            if not nf.is_resolved or nf.element is None:
+            if nf_f.element is None:
                 raise UndeterminedResult(
                     f"factor {i + 1} does not resolve; cannot license the "
                     f"partial table pi_{k}({target})")
-            o = order_of(nf.element)
+            o = order_of(nf_f.element)
             if o is INFINITE or not _prime_support_within(int(o), t.primes):
                 raise UndeterminedResult(
                     f"pi_{k}({target}) is only complete at primes "
                     f"{sorted(t.primes)}; the order of factor {i + 1} does "
                     f"not license ignoring the rest")
-        for j in range(t.rank()):
-            gamma = R.chain_to_expr(db.basis_chains(t.key)[j])
-            nf = bracket(gamma, f, db)
+        for ch in db.basis_chains(t.key):
+            shown = lambda: f"[{_chain_label(ch)}, {E.format_expr(f)}]"
+            if nf_f.fs is None:
+                nf = nf_f  # flattening the factor was blocked
+            else:
+                nf_gamma = evaluate_fs({ch: 1}, ch.signature, db)
+                nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
             if not nf.is_resolved:
                 raise UndeterminedResult(
-                    f"[{E.format_expr(gamma)}, {E.format_expr(f)}] "
-                    f"did not resolve: {nf.reason}")
-            elt = nf.element if nf.element is not None else out_table.zero()
-            if elt.table != out_table:
-                raise UndeterminedResult("bracket landed outside the target table")
-            gens.append(elt)
+                    f"{shown()} did not resolve: {nf.reason}")
+            gens.append(nf.element)
     return subgroup_generated(gens, out_table)
 
 
@@ -535,8 +482,8 @@ def triple_coset_constraints(spec: ProductSpec, db, *,
     finite_orders = []
     for f in spec.factors:
         nf = evaluate(f, db)
-        elements.append(nf.element if nf.is_resolved else None)
-        if nf.is_resolved and nf.element is not None:
+        elements.append(nf.element)
+        if nf.element is not None:
             o = order_of(nf.element)
             if o is not INFINITE:
                 finite_orders.append(int(o))
@@ -567,9 +514,9 @@ def triple_coset_constraints(spec: ProductSpec, db, *,
         susp_values = {}
         for i in support:
             chain = db.basis_chains(table.key)[i]
-            nf = evaluate(E.Susp(1, R.chain_to_expr(chain)), db)
-            if not nf.is_resolved or nf.element is None or \
-                    nf.element.table != up_table:
+            nf = evaluate_fs(R.fs_susp({chain: 1}, 1, db),
+                             E.Signature(M, up_target), db)
+            if not nf.is_resolved:
                 raise UndeterminedResult(
                     f"suspension of {table.gens[i].label!r} did not resolve "
                     f"in pi_{M}({up_target})")
@@ -650,7 +597,7 @@ def whitehead_projective(f: E.Expr, h0f: Optional[E.Expr], n: int, k: int,
     if n % 2 == 1:
         trace.append(R.TraceStep("projective", "odd n: the product vanishes",
                                  f"[gamma_{n}R . f, i_{n}R]", "0"))
-        return R.NormalForm("resolved", out_sig, zero=True, trace=trace, fs={})
+        return R.zero_form(out_sig, db, trace)
     if h0f is None:
         h0f = db.hopf0_value(f)
         if h0f is None:
@@ -699,7 +646,7 @@ def known_results(db, query: str, **params):
                      "ambient": "pi_7(S4) = Z + Z12"})
     if query == "rp2":
         nf = whitehead_projective(E.gen("iota_2"), None, 2, 2, db)
-        if not nf.is_resolved or nf.element is None:
+        if nf.element is None:
             raise UndeterminedResult("projective bracket did not resolve")
         sub = subgroup_generated([nf.element])
         return ProductStatus(

@@ -26,6 +26,13 @@ def test_eval_identity(capsys):
     assert code == 0 and out.strip() == "iota_4"
 
 
+def test_eval_long_composition(capsys):
+    # the Expr walks loop over a left-nested composition instead of
+    # recursing once per factor
+    code, out, _ = run(capsys, "eval", " . ".join(["iota_4"] * 3000))
+    assert code == 0 and out.strip() == "iota_4"
+
+
 def test_eval_trace_cites_relations(capsys):
     code, out, _ = run(capsys, "eval", "[eta_4, eta_4^2]", "--trace")
     assert code == 0

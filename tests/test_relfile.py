@@ -82,6 +82,12 @@ GOLDEN_ERRORS = [
     ("orderfact eta_4 = 0", "must be positive"),
     ("orderfact eta_4 . eta_5", "orderfact needs ' = '"),
     ("hopf0 iota_2", "hopf0 needs ' = '"),
+    ("rel [2 iota_4, iota_4] = 0", "bracket of composite arguments"),
+    ("rel [nu_4, iota_4] = [iota_4 + iota_4, nu_4]",
+     "bracket of composite arguments"),
+    ("rel [[2 iota_4, iota_4], iota_4] = 0", "bracket of composite arguments"),
+    ("orderfact [iota_4 + iota_4, iota_4] = 2", "bracket of composite arguments"),
+    ("group S4 k=7 = Z{[2 iota_4, iota_4]}", "bracket of composite arguments"),
 ]
 
 
@@ -97,6 +103,20 @@ def test_error_carries_line_number():
     with pytest.raises(RelationsFileError) as err:
         load_relations_text(text, path="bad.rel")
     assert "bad.rel:" in str(err.value)
+
+
+@pytest.mark.parametrize("line", [
+    "rel [2 iota_4, iota_4] = 0",
+    "orderfact [iota_4 + iota_4, iota_4] = 2",
+    "group S4 k=7 = Z{[2 iota_4, iota_4]}",
+])
+def test_composite_bracket_rejected_at_its_line(line):
+    # bracket atoms may hold sums inside the engine, but file entries must
+    # bracket single unit-coefficient chains
+    lineno = PRELUDE.count("\n") + 1
+    with pytest.raises(RelationsFileError) as err:
+        load_relations_text(PRELUDE + line + "\n", path="bad.rel")
+    assert str(err.value).startswith(f"bad.rel:{lineno}: ")
 
 
 def test_order_fact_must_agree_with_tables():

@@ -64,6 +64,57 @@ def test_bracket_pi9_pi10_generators_die(db):
     assert bk(db, "nu_4^2", "eta_4").is_zero
 
 
+def test_bracket_killed_by_the_target_exponent(db):
+    # [eta_4^2, eta_4^2] has order dividing 2 and lies in pi_11(S4) = Z15
+    tr = []
+    nf = bk(db, "eta_4^2", "eta_4^2", trace=tr)
+    assert nf.is_resolved and nf.is_zero
+    assert nf.element == db.table(sphere(4), 11).zero()
+    assert "exponent 15 of the target pi_11(S4)" in tr[-1].detail
+
+
+def test_blocked_residue_keeps_its_brackets(db):
+    for text in ["[iota_4, iota_4] . sigma'", "(2 [iota_4, iota_4]) . sigma'"]:
+        nf = W.evaluate(parse(text), db)
+        assert nf.status == "residue" and nf.display() == text
+        assert "non-suspension" in nf.reason
+
+
+def test_bracket_of_composite_arguments(db):
+    nf = W.evaluate(parse("[2 iota_4, iota_4]"), db)
+    assert nf.is_resolved and nf.display() == "4 nu_4 + 2 Snu'"
+
+
+# the rules each evaluation fires, in order
+RULE_SEQUENCES = {
+    "eta_5^3": ["relation", "resolve"],
+    "Snu' . (4 nu_7)": ["order-reduce"],
+    "eta_4 . nu_5 . eta_8 . eta_9": ["relation", "relation", "order-reduce"],
+    "[iota_5, iota_5] . eta_9": ["relation"],
+    "2 nu_4^2 . nu_10 . eta_13": ["order-reduce"],
+    "[iota_4, iota_4] . alpha2(7)": ["resolve"],
+    "4 (nu_4 . sigma') + 2 Seps' + eta_4 . mu_5": ["resolve"],
+    "S (Seps' + nu_4 . sigma')": ["relation", "relation", "resolve"],
+    "[eta_4, eta_4^2]": ["resolve", "resolve", "naturality", "smash",
+                         "relation", "relation", "relation", "order-reduce"],
+    "[eta_4, 2 iota_4]": ["resolve", "resolve", "bilinearity"],
+    "[eta_4^2, 2 iota_4]": ["resolve", "resolve", "bilinearity"],
+    "[nu_4 . eta_7^2, eta_4^2]": ["resolve", "resolve", "smash", "relation",
+                                  "order-reduce"],
+    "[Snu' . eta_7^2, eta_4^2]": ["resolve", "resolve", "smash", "relation",
+                                  "order-reduce"],
+    "[nu_4^2, eta_4]": ["resolve", "resolve", "smash", "relation",
+                        "order-reduce"],
+}
+
+
+@pytest.mark.parametrize("text", sorted(RULE_SEQUENCES))
+def test_evaluate_rule_sequence(db, text):
+    tr = []
+    W.evaluate(parse(text), db, trace=tr)
+    assert [s.rule for s in tr] == RULE_SEQUENCES[text]
+
+
 def test_bracket_bilinearity_where_resolvable(db):
     pairs = [("eta_4", "eta_4", "eta_4"), ("alpha2(4)", "alpha1'(4)", "iota_4"),
              ("alpha2(4)", "alpha2(4)", "iota_4"), ("eta_4", "eta_4", "2 iota_4")]
