@@ -6,10 +6,12 @@
     whiteprod tables --format json
 
 Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error,
-3 unresolved residue (printed), 4 I/O error.  ``scenario`` exits 1 on a
-failed expectation and 4 on an unknown name or I/O error; ``fatwedge``
-exits 2 on bad dimensions or levels.  Results go to stdout, diagnostics
-to stderr; JSON output is stable across runs.
+3 unresolved residue (printed), 4 I/O error or malformed relations file.
+``scenario`` exits 1 on a failed expectation, 2 on a typecheck or other
+calculation error, 4 on an unknown name, I/O error or malformed relations
+file; ``fatwedge`` exits 2 on bad dimensions, levels or another calculation
+error.  ``main`` maps every error to its code in one place.  Results go to
+stdout, diagnostics to stderr; JSON output is stable across runs.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import sys
 from importlib import resources
 
 from .errors import (BadLevels, CalcError, DegreeMismatch, ExprSyntaxError,
-                     MixedTargets, NotInRing, RelationsFileError,
-                     UnknownGenerator, UnknownScenario)
+                     MixedTargets, RelationsFileError, UnknownGenerator,
+                     UnknownScenario)
 from . import fatwedge as F
 from . import whitehead as W
 from .parser import parse
@@ -46,26 +48,10 @@ def _emit(obj, fmt: str, text_lines) -> None:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        db = _load_db(args.relations)
-    except (OSError, RelationsFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
-        expr = parse(args.expr)
-    except ExprSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 1
+    db = _load_db(args.relations)
+    expr = parse(args.expr)
     trace: list = []
-    try:
-        nf = W.evaluate(expr, db, trace=trace)
-    except (UnknownGenerator, DegreeMismatch, MixedTargets) as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 2
-    except CalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    nf = W.evaluate(expr, db, trace=trace)
     payload = nf.to_json()
     if args.trace:
         payload["trace"] = [s.to_json() for s in trace]
@@ -83,19 +69,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    try:
-        db = _load_db(args.relations)
-    except (OSError, RelationsFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    db = _load_db(args.relations)
     names = scenario_names() if args.name == "all" else [args.name]
-    results = []
-    try:
-        for name in names:
-            results.append(run_scenario(db, name))
-    except UnknownScenario as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    results = [run_scenario(db, name) for name in names]
     payload = [r.to_json(with_trace=args.trace) for r in results]
     lines = []
     for r in results:
@@ -108,45 +84,44 @@ def _cmd_scenario(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_fatwedge(args) -> int:
+def _ints(text: str) -> tuple:
     try:
-        dims = tuple(int(d) for d in args.dims.split(","))
-        tup = F.sphere_tuple(*dims)
-        if args.r is not None and args.r != tup.r:
-            raise BadLevels(f"--r {args.r} disagrees with {tup.r} dims")
-        if args.obstruction:
-            w = F.retraction_obstruction(tup)
-            payload = {"dims": list(dims),
-                       "witness": w.to_json() if w else None}
-            lines = [f"witness: {w.to_json()}" if w else "witness: none"]
-        elif args.omega:
-            w = F.omega_nontriviality(tup)
-            payload = {"dims": list(dims), "witness": w.to_json()}
-            lines = [f"witness: {w.to_json()}"]
-        else:
-            if args.levels is None:
-                raise BadLevels(
-                    "choose --levels A,B, --obstruction or --omega")
-            a, b = (int(x) for x in args.levels.split(","))
-            ring = F.ring(a, b, tup)
-            payload = ring.to_json(with_products=args.products)
-            lines = [str(ring)]
-            for s in ring.basis:
-                lines.append(f"  x{sorted(s)}  degree {ring.degree(s)}")
-            lines.append(f"betti: {ring.betti()}")
-    except (BadLevels, NotInRing, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise BadLevels(str(exc)) from None
+
+
+def _cmd_fatwedge(args) -> int:
+    dims = _ints(args.dims)
+    tup = F.sphere_tuple(*dims)
+    if args.r is not None and args.r != tup.r:
+        raise BadLevels(f"--r {args.r} disagrees with {tup.r} dims")
+    if args.obstruction:
+        w = F.retraction_obstruction(tup)
+        payload = {"dims": list(dims), "witness": w.to_json() if w else None}
+        lines = [f"witness: {w.to_json()}" if w else "witness: none"]
+    elif args.omega:
+        w = F.omega_nontriviality(tup)
+        payload = {"dims": list(dims), "witness": w.to_json()}
+        lines = [f"witness: {w.to_json()}"]
+    else:
+        if args.levels is None:
+            raise BadLevels("choose --levels A,B, --obstruction or --omega")
+        levels = _ints(args.levels)
+        if len(levels) != 2:
+            raise BadLevels(f"--levels wants A,B, got {args.levels!r}")
+        ring = F.ring(*levels, tup)
+        payload = ring.to_json(with_products=args.products)
+        lines = [str(ring)]
+        for s in ring.basis:
+            lines.append(f"  x{sorted(s)}  degree {ring.degree(s)}")
+        lines.append(f"betti: {ring.betti()}")
     _emit(payload, args.format, lines)
     return 0
 
 
 def _cmd_tables(args) -> int:
-    try:
-        db = _load_db(args.relations)
-    except (OSError, RelationsFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    db = _load_db(args.relations)
     keys = sorted(db.tables, key=lambda k: (str(k.target), k.k))
     payload = [db.tables[k].to_json() for k in keys]
     lines = [db.tables[k].to_text() for k in keys]
@@ -192,7 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, RelationsFileError, UnknownScenario) as exc:
+        message, code = f"error: {exc}", 4
+    except ExprSyntaxError as exc:
+        message, code = f"syntax error: {exc}", 1
+    except (UnknownGenerator, DegreeMismatch, MixedTargets) as exc:
+        message, code = f"type error: {exc}", 2
+    except CalcError as exc:
+        message, code = f"error: {exc}", 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -273,7 +273,3 @@ def format_expr(e: Expr) -> str:
             inner = f"({inner})"
         return f"{inner}^{e.k}"
     raise TypeError(f"not an expression: {e!r}")
-
-
-# short operation-style alias
-format = format_expr

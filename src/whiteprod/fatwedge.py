@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import BadLevels, CalcError, NotInRing
+from .errors import BadLevels, NotInRing
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +231,7 @@ def omega_nontriviality(tuple_: SphereTuple) -> Witness:
     dead = cup(CohomClass({s: 1}), CohomClass({t: 1}), fat)
     live = cup(CohomClass({s: 1}), CohomClass({t: 1}), full)
     if not dead.is_zero or live.is_zero:
-        raise CalcError("bottom-cell witness failed; the model is broken")
+        # an internal invariant, not an input error: let it surface
+        raise AssertionError("bottom-cell witness failed; the model is broken")
     return Witness(tuple(sorted(s)), tuple(sorted(t)),
                    tuple_.degree(everything), fat.levels, full.levels)

@@ -59,7 +59,7 @@ def sphere(n: int) -> Space:
 
 def parse_space(text: str) -> Space:
     for kind in ("RP", "CP", "HP", "S"):
-        if text.startswith(kind) and text[len(kind):].isdigit():
+        if text.startswith(kind) and text[len(kind):].isdecimal():
             return Space(kind, int(text[len(kind):]))
     raise CalcError(f"cannot parse space tag {text!r}")
 

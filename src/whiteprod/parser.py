@@ -26,6 +26,10 @@ from .names import fold_unicode
 
 _SYMBOLS = ".^+-*[](),"
 
+# Deepest nesting of '(', '[', 'w[' and 'S' prefixes the parser accepts;
+# deeper input is a syntax error rather than a Python recursion overflow.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -50,9 +54,10 @@ def _tokenize(text: str) -> list[_Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as '⁵'
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("INT", text[i:j], line, col))
             col += j - i
@@ -96,6 +101,7 @@ class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -173,8 +179,23 @@ class _Parser:
         if t.kind == "NAME":
             self.next()
             return gen(t.text)
-        if t.kind == "SUSP":
+        if t.kind == "INT" and t.text == "0":
             self.next()
+            return ZERO
+        if t.kind in ("SUSP", "HIGHER") or (t.kind == "SYM" and t.text in "(["):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+            e = self.parse_nested(t)
+            self.depth -= 1
+            return e
+        raise ExprSyntaxError(f"expected an expression, found {t.text or 'end of input'!r}",
+                              t.line, t.col)
+
+    def parse_nested(self, t: _Tok) -> Expr:
+        self.next()
+        if t.kind == "SUSP":
             count = 1
             if self.at_sym("^"):
                 self.next()
@@ -185,7 +206,6 @@ class _Parser:
             inner = self.parse_atom()
             return Susp(count, inner)
         if t.kind == "HIGHER":
-            self.next()
             self.expect("SYM", "[")
             factors = [self.parse_expr()]
             while self.at_sym(","):
@@ -193,23 +213,15 @@ class _Parser:
                 factors.append(self.parse_expr())
             self.expect("SYM", "]")
             return HigherBracket(tuple(factors))
-        if t.kind == "SYM" and t.text == "[":
-            self.next()
+        if t.text == "[":
             f = self.parse_expr()
             self.expect("SYM", ",")
             g = self.parse_expr()
             self.expect("SYM", "]")
             return Bracket(f, g)
-        if t.kind == "SYM" and t.text == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect("SYM", ")")
-            return inner
-        if t.kind == "INT" and t.text == "0":
-            self.next()
-            return ZERO
-        raise ExprSyntaxError(f"expected an expression, found {t.text or 'end of input'!r}",
-                              t.line, t.col)
+        inner = self.parse_expr()
+        self.expect("SYM", ")")
+        return inner
 
 
 def _negated(e: Expr) -> Expr:

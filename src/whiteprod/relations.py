@@ -28,7 +28,8 @@ from typing import Optional
 
 from . import expr as E
 from . import rewrite as R
-from .errors import (ConflictingRelations, RelationsFileError, UnknownGenerator)
+from .errors import (CalcError, ConflictingRelations, ExprSyntaxError,
+                     RelationsFileError)
 from .groups import (GeneratorDecl, GroupTable, Space, TableGen, TableKey,
                      parse_space, sphere)
 from .names import join_name, split_name
@@ -75,10 +76,8 @@ class RelationDB:
         self._basis_index: dict = {}
         self.relations: list[Relation] = []
         self._rel_index: dict = {}
-        self.order_facts: list[OrderFact] = []
         self._fact_index: dict = {}
         self.hopf0: dict[str, E.Expr] = {}
-        self.source_path: str = ""
 
     # -- generator declarations -------------------------------------------
 
@@ -112,12 +111,6 @@ class RelationDB:
             order=fam.default_order, suspension_of=below, is_suspension=True)
         self._synth[name] = decl
         return decl
-
-    def require_decl(self, name: str) -> GeneratorDecl:
-        d = self.decl(name)
-        if d is None:
-            raise UnknownGenerator(f"undeclared generator {name!r}")
-        return d
 
     def susp_name(self, name: str) -> Optional[str]:
         if name in self._susp_links:
@@ -170,9 +163,6 @@ class RelationDB:
         self._rel_index[key] = rel
         self.relations.append(rel)
 
-    def relation_for(self, chain) -> Optional[Relation]:
-        return self._rel_index.get(chain.key())
-
     def bracket_relation(self, left, right) -> Optional[Relation]:
         return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}).key())
 
@@ -189,7 +179,6 @@ class RelationDB:
                 f"the {hit[0].key} table")
         if prior is None:
             self._fact_index[key] = fact
-            self.order_facts.append(fact)
 
     def order_fact(self, chain) -> Optional[int]:
         fact = self._fact_index.get(chain.key())
@@ -210,6 +199,10 @@ class RelationDB:
 
 # ---------------------------------------------------------------------------
 # file loading
+#
+# Each entry kind has one handler taking (db, line).  Handlers raise plain
+# CalcErrors; load_relations_text is the one place that attaches the file
+# name and line number.
 
 _SRC_RE = re.compile(r'\s*src="([^"]*)"\s*$')
 _KV_RE = re.compile(r"^([A-Za-z_0-9]+)=(.+)$")
@@ -224,7 +217,7 @@ class _Line:
     src: str
 
 
-def _split_lines(text: str, path: str) -> list[_Line]:
+def _split_lines(text: str) -> list[_Line]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -244,33 +237,32 @@ def _split_lines(text: str, path: str) -> list[_Line]:
     return out
 
 
-def _parse_kv(parts: list[str], path: str, lineno: int) -> dict:
+def _parse_kv(parts: list[str]) -> dict:
     kv = {}
     for p in parts:
         m = _KV_RE.match(p)
         if not m:
-            raise RelationsFileError(f"expected key=value, found {p!r}", path, lineno)
+            raise RelationsFileError(f"expected key=value, found {p!r}")
         if m.group(1) in kv:
-            raise RelationsFileError(f"duplicate key {m.group(1)!r}", path, lineno)
+            raise RelationsFileError(f"duplicate key {m.group(1)!r}")
         kv[m.group(1)] = m.group(2)
     return kv
 
 
-def _int(kv: dict, key: str, path: str, lineno: int) -> int:
+def _int(kv: dict, key: str) -> int:
     try:
         return int(kv[key])
     except KeyError:
-        raise RelationsFileError(f"missing {key}=", path, lineno) from None
+        raise RelationsFileError(f"missing {key}=") from None
     except ValueError:
-        raise RelationsFileError(f"{key}= wants an integer", path, lineno) from None
+        raise RelationsFileError(f"{key}= wants an integer") from None
 
 
-def _parse_expr(text: str, path: str, lineno: int) -> E.Expr:
-    from .errors import ExprSyntaxError
+def _parse_expr(text: str) -> E.Expr:
     try:
         return parse(text)
     except ExprSyntaxError as exc:
-        raise RelationsFileError(f"bad expression {text!r}: {exc}", path, lineno) from None
+        raise RelationsFileError(f"bad expression {text!r}: {exc}") from None
 
 
 def _unit(terms) -> Optional["R.Chain"]:
@@ -285,34 +277,193 @@ def _composite_bracket(terms) -> bool:
                if isinstance(a, R.BracketAtom) for arg in (a.left, a.right))
 
 
-def _flatten_entry(e: E.Expr, db: RelationDB, path: str, lineno: int,
-                   what: str) -> dict:
+def _flatten_entry(e: E.Expr, db: RelationDB, what: str) -> dict:
     """Flatten a file entry; data entries may bracket only single chains."""
     try:
         fs = R.flatten(E.expand_powers(e, db), db)
     except R.Blocked as b:
-        raise RelationsFileError(f"{what} does not flatten: {b.reason}", path, lineno)
+        raise RelationsFileError(f"{what} does not flatten: {b.reason}") from None
     if _composite_bracket(fs.items()):
         raise RelationsFileError(
-            f"{what} does not flatten: bracket of composite arguments",
-            path, lineno)
+            f"{what} does not flatten: bracket of composite arguments")
     return fs
 
 
-def _unit_chain_of(e: E.Expr, db: RelationDB, path: str, lineno: int, what: str):
-    ch = _unit(list(_flatten_entry(e, db, path, lineno, what).items()))
+def _unit_chain_of(e: E.Expr, db: RelationDB, what: str):
+    ch = _unit(list(_flatten_entry(e, db, what).items()))
     if ch is None:
         raise RelationsFileError(
-            f"{what} must be a single unit-coefficient composition", path, lineno)
+            f"{what} must be a single unit-coefficient composition")
     return ch
 
 
-def _typecheck(e: E.Expr, db: RelationDB, path: str, lineno: int):
-    from .errors import CalcError
+def _split_summands(body: str) -> list[str]:
+    # split on '+' at brace depth zero
+    out, depth, cur = [], 0, []
+    for ch in body:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise RelationsFileError("unbalanced braces")
+        if ch == "+" and depth == 0:
+            out.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise RelationsFileError("unbalanced braces")
+    out.append("".join(cur).strip())
+    if any(not piece for piece in out):
+        raise RelationsFileError("empty summand")
+    return out
+
+
+def _sides(ln: _Line) -> tuple[str, str]:
+    lhs, eq, rhs = ln.body.partition(" = ")
+    if not eq:
+        raise RelationsFileError(f"{ln.kind} needs ' = '")
+    return lhs.strip(), rhs.strip()
+
+
+def _gen(db: RelationDB, ln: _Line):
+    parts = ln.body.split()
+    if not parts:
+        raise RelationsFileError("gen needs a name")
+    name, kv = parts[0], _parse_kv(parts[1:])
+    extra = set(kv) - {"dom", "cod", "order", "susp_of"}
+    if extra:
+        raise RelationsFileError(f"unknown gen attribute {extra.pop()!r}")
+    if "cod" not in kv:
+        raise RelationsFileError("missing cod=")
+    cod = parse_space(kv["cod"])
+    db.add_decl(GeneratorDecl(
+        name=name, source_dim=_int(kv, "dom"), target=cod,
+        order=_int(kv, "order"), suspension_of=kv.get("susp_of")))
+
+
+def _family(db: RelationDB, ln: _Line):
+    parts = ln.body.split()
+    if not parts:
+        raise RelationsFileError("family needs a name")
+    name, kv = parts[0], _parse_kv(parts[1:])
+    base = _int(kv, "base")
+    default_order = _int(kv, "order")
+    for style in ("_", "()"):
+        base_decl = db._decls.get(join_name(name, base, style))
+        if base_decl is not None:
+            break
+    else:
+        raise RelationsFileError(
+            f"family {name!r} needs an explicit gen for its base member")
+    if not base_decl.target.is_sphere or base_decl.target.n != base:
+        raise RelationsFileError(
+            f"family base {base_decl.name!r} must live on S{base}")
+    db.add_family(Family(name=name, base=base,
+                         stem=base_decl.source_dim - base,
+                         default_order=default_order, style=style))
+
+
+def _susp_link(db: RelationDB, ln: _Line):
+    """Validate a gen line's susp_of link; runs once every family exists."""
+    decl = db._decls[ln.body.split()[0]]
+    if decl.suspension_of is None:
+        return
+    below = db.decl(decl.suspension_of)
+    if below is None:
+        raise RelationsFileError(
+            f"{decl.name!r}: susp_of references undeclared "
+            f"{decl.suspension_of!r}")
+    if below.source_dim != decl.source_dim - 1 or \
+            not below.target.is_sphere or not decl.target.is_sphere or \
+            below.target.n != decl.target.n - 1:
+        raise RelationsFileError(
+            f"{decl.name!r} is not one suspension above {below.name!r}")
+
+
+def _group(db: RelationDB, ln: _Line):
+    head, eq, body = ln.body.partition(" = ")
+    if not eq:
+        raise RelationsFileError("group needs ' = <summands>'")
+    parts = head.split()
+    if not parts:
+        raise RelationsFileError("group needs a space tag")
+    target = parse_space(parts[0])
+    kv = _parse_kv(parts[1:])
+    extra = set(kv) - {"k", "partial"}
+    if extra:
+        raise RelationsFileError(f"unknown group attribute {extra.pop()!r}")
+    k = _int(kv, "k")
+    completeness = "full"
+    if "partial" in kv:
+        try:
+            completeness = frozenset(int(p) for p in kv["partial"].split(","))
+        except ValueError:
+            raise RelationsFileError("partial= wants primes") from None
+    gens, chains = [], []
+    body = body.strip()
+    if body != "0":
+        for entry in _split_summands(body):
+            m = _ENTRY_RE.match(entry)
+            if not m:
+                raise RelationsFileError(
+                    f"bad summand {entry!r}; expected Z<d>{{<expr>}}")
+            order = int(m.group(1)) if m.group(1) else 0
+            label = m.group(2).strip()
+            expr = _parse_expr(label)
+            sig = E.typecheck(expr, db)
+            if sig is None or sig.target != target or sig.source_dim != k:
+                raise RelationsFileError(
+                    f"generator {label!r} does not live in pi_{k}({target})")
+            gens.append(TableGen(label, order))
+            chains.append(_unit_chain_of(expr, db, f"table generator {label!r}"))
+    db.add_table(GroupTable(TableKey(target, k), completeness, gens, ln.src),
+                 chains)
+
+
+def _rel(db: RelationDB, ln: _Line):
+    lhs_text, rhs_text = _sides(ln)
+    lhs, rhs = _parse_expr(lhs_text), _parse_expr(rhs_text)
+    sig_l, sig_r = E.typecheck(lhs, db), E.typecheck(rhs, db)
+    if sig_l is None:
+        raise RelationsFileError("rel lhs cannot be 0")
+    if sig_r is not None and sig_r != sig_l:
+        raise RelationsFileError(f"rel sides disagree: {sig_l} vs {sig_r}")
+    db.add_relation(Relation(
+        name=f"{lhs_text} = {rhs_text}", lhs=lhs, rhs=rhs, provenance=ln.src,
+        lhs_chain=_unit_chain_of(lhs, db, "rel lhs"),
+        rhs_fs=_flatten_entry(rhs, db, "rel rhs")))
+
+
+def _orderfact(db: RelationDB, ln: _Line):
+    lhs_text, n_text = _sides(ln)
+    expr = _parse_expr(lhs_text)
     try:
-        return E.typecheck(e, db)
-    except CalcError as exc:
-        raise RelationsFileError(str(exc), path, lineno) from None
+        n = int(n_text)
+    except ValueError:
+        raise RelationsFileError("orderfact wants an integer order") from None
+    if n <= 0:
+        raise RelationsFileError("orderfact order must be positive")
+    chain = _unit_chain_of(expr, db, "orderfact expression")
+    db.add_order_fact(OrderFact(expr, n, ln.src, chain))
+
+
+def _hopf0(db: RelationDB, ln: _Line):
+    lhs_text, rhs_text = _sides(ln)
+    f, value = _parse_expr(lhs_text), _parse_expr(rhs_text)
+    E.typecheck(f, db)
+    E.typecheck(value, db)
+    db.add_hopf0(f, value)
+
+
+# Passes in order: each maps the entry kinds it reads to their handlers.
+# Families need their base gen; susp_of links may name family members;
+# tables and relations need every generator; hopf0 entries are keyed by
+# normalized forms, so they come after the relations.
+_PASSES = [{"gen": _gen}, {"family": _family}, {"gen": _susp_link},
+           {"group": _group}, {"rel": _rel, "orderfact": _orderfact},
+           {"hopf0": _hopf0}]
 
 
 def load_relations(path: str) -> RelationDB:
@@ -323,216 +474,19 @@ def load_relations(path: str) -> RelationDB:
 
 
 def load_relations_text(text: str, path: str = "<string>") -> RelationDB:
+    lines = _split_lines(text)
+    for ln in lines:
+        if not any(ln.kind in handlers for handlers in _PASSES):
+            raise RelationsFileError(f"unknown entry kind {ln.kind!r}",
+                                     path, ln.lineno)
     db = RelationDB()
-    db.source_path = path
-    lines = _split_lines(text, path)
-
-    known = {"family", "gen", "group", "rel", "orderfact", "hopf0"}
-    for ln in lines:
-        if ln.kind not in known:
-            raise RelationsFileError(f"unknown entry kind {ln.kind!r}", path, ln.lineno)
-
-    # pass 1: generators, then families (which need their base generator)
-    for ln in lines:
-        if ln.kind != "gen":
-            continue
-        parts = ln.body.split()
-        if not parts:
-            raise RelationsFileError("gen needs a name", path, ln.lineno)
-        name, kv = parts[0], _parse_kv(parts[1:], path, ln.lineno)
-        extra = set(kv) - {"dom", "cod", "order", "susp_of"}
-        if extra:
-            raise RelationsFileError(f"unknown gen attribute {extra.pop()!r}",
-                                     path, ln.lineno)
-        try:
-            cod = parse_space(kv["cod"])
-        except KeyError:
-            raise RelationsFileError("missing cod=", path, ln.lineno) from None
-        except Exception as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
-        decl = GeneratorDecl(
-            name=name, source_dim=_int(kv, "dom", path, ln.lineno), target=cod,
-            order=_int(kv, "order", path, ln.lineno),
-            suspension_of=kv.get("susp_of"))
-        try:
-            db.add_decl(decl)
-        except RelationsFileError as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
-
-    for ln in lines:
-        if ln.kind != "family":
-            continue
-        parts = ln.body.split()
-        if not parts:
-            raise RelationsFileError("family needs a name", path, ln.lineno)
-        name, kv = parts[0], _parse_kv(parts[1:], path, ln.lineno)
-        base = _int(kv, "base", path, ln.lineno)
-        default_order = _int(kv, "order", path, ln.lineno)
-        for style in ("_", "()"):
-            base_decl = db._decls.get(join_name(name, base, style))
-            if base_decl is not None:
-                break
-        else:
-            raise RelationsFileError(
-                f"family {name!r} needs an explicit gen for its base member",
-                path, ln.lineno)
-        if not base_decl.target.is_sphere or base_decl.target.n != base:
-            raise RelationsFileError(
-                f"family base {base_decl.name!r} must live on S{base}",
-                path, ln.lineno)
-        fam = Family(name=name, base=base, stem=base_decl.source_dim - base,
-                     default_order=default_order, style=style)
-        try:
-            db.add_family(fam)
-        except RelationsFileError as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
-
-    # validate suspension links now that families exist
-    for decl in list(db._decls.values()):
-        if decl.suspension_of is None:
-            continue
-        below = db.decl(decl.suspension_of)
-        if below is None:
-            raise RelationsFileError(
-                f"{decl.name!r}: susp_of references undeclared "
-                f"{decl.suspension_of!r}", path)
-        if below.source_dim != decl.source_dim - 1 or \
-                not below.target.is_sphere or not decl.target.is_sphere or \
-                below.target.n != decl.target.n - 1:
-            raise RelationsFileError(
-                f"{decl.name!r} is not one suspension above {below.name!r}", path)
-
-    # pass 2: group tables
-    for ln in lines:
-        if ln.kind != "group":
-            continue
-        head, eq, body = ln.body.partition(" = ")
-        if not eq:
-            raise RelationsFileError("group needs ' = <summands>'", path, ln.lineno)
-        parts = head.split()
-        if not parts:
-            raise RelationsFileError("group needs a space tag", path, ln.lineno)
-        try:
-            target = parse_space(parts[0])
-        except Exception as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
-        kv = _parse_kv(parts[1:], path, ln.lineno)
-        extra = set(kv) - {"k", "partial"}
-        if extra:
-            raise RelationsFileError(f"unknown group attribute {extra.pop()!r}",
-                                     path, ln.lineno)
-        k = _int(kv, "k", path, ln.lineno)
-        completeness = "full"
-        if "partial" in kv:
+    for handlers in _PASSES:
+        for ln in lines:
+            handler = handlers.get(ln.kind)
+            if handler is None:
+                continue
             try:
-                completeness = frozenset(int(p) for p in kv["partial"].split(","))
-            except ValueError:
-                raise RelationsFileError("partial= wants primes", path, ln.lineno) from None
-        gens, chains = [], []
-        body = body.strip()
-        if body != "0":
-            for entry in _split_summands(body, path, ln.lineno):
-                m = _ENTRY_RE.match(entry)
-                if not m:
-                    raise RelationsFileError(
-                        f"bad summand {entry!r}; expected Z<d>{{<expr>}}",
-                        path, ln.lineno)
-                order = int(m.group(1)) if m.group(1) else 0
-                label = m.group(2).strip()
-                expr = _parse_expr(label, path, ln.lineno)
-                sig = _typecheck(expr, db, path, ln.lineno)
-                if sig is None or sig.target != target or sig.source_dim != k:
-                    raise RelationsFileError(
-                        f"generator {label!r} does not live in pi_{k}({target})",
-                        path, ln.lineno)
-                chain = _unit_chain_of(expr, db, path, ln.lineno,
-                                       f"table generator {label!r}")
-                gens.append(TableGen(label, order))
-                chains.append(chain)
-        table = GroupTable(TableKey(target, k), completeness, gens, ln.src)
-        try:
-            db.add_table(table, chains)
-        except RelationsFileError as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
-
-    # pass 3: relations, order facts, hopf invariants
-    for ln in lines:
-        if ln.kind == "rel":
-            lhs_text, eq, rhs_text = ln.body.partition(" = ")
-            if not eq:
-                raise RelationsFileError("rel needs ' = '", path, ln.lineno)
-            lhs = _parse_expr(lhs_text.strip(), path, ln.lineno)
-            rhs = _parse_expr(rhs_text.strip(), path, ln.lineno)
-            sig_l = _typecheck(lhs, db, path, ln.lineno)
-            sig_r = _typecheck(rhs, db, path, ln.lineno)
-            if sig_l is None:
-                raise RelationsFileError("rel lhs cannot be 0", path, ln.lineno)
-            if sig_r is not None and sig_r != sig_l:
-                raise RelationsFileError(
-                    f"rel sides disagree: {sig_l} vs {sig_r}", path, ln.lineno)
-            chain = _unit_chain_of(lhs, db, path, ln.lineno, "rel lhs")
-            rhs_fs = _flatten_entry(rhs, db, path, ln.lineno, "rel rhs")
-            rel = Relation(name=f"{lhs_text.strip()} = {rhs_text.strip()}",
-                           lhs=lhs, rhs=rhs, provenance=ln.src,
-                           lhs_chain=chain, rhs_fs=rhs_fs)
-            try:
-                db.add_relation(rel)
-            except ConflictingRelations as exc:
+                handler(db, ln)
+            except CalcError as exc:
                 raise RelationsFileError(str(exc), path, ln.lineno) from None
-        elif ln.kind == "orderfact":
-            lhs_text, eq, n_text = ln.body.partition(" = ")
-            if not eq:
-                raise RelationsFileError("orderfact needs ' = '", path, ln.lineno)
-            expr = _parse_expr(lhs_text.strip(), path, ln.lineno)
-            try:
-                n = int(n_text.strip())
-            except ValueError:
-                raise RelationsFileError("orderfact wants an integer order",
-                                         path, ln.lineno) from None
-            if n <= 0:
-                raise RelationsFileError("orderfact order must be positive",
-                                         path, ln.lineno)
-            chain = _unit_chain_of(expr, db, path, ln.lineno, "orderfact expression")
-            try:
-                db.add_order_fact(OrderFact(expr, n, ln.src, chain))
-            except ConflictingRelations as exc:
-                raise RelationsFileError(str(exc), path, ln.lineno) from None
-    # pass 4: hopf invariants (keyed by normalized forms, so after relations)
-    for ln in lines:
-        if ln.kind != "hopf0":
-            continue
-        lhs_text, eq, rhs_text = ln.body.partition(" = ")
-        if not eq:
-            raise RelationsFileError("hopf0 needs ' = '", path, ln.lineno)
-        f = _parse_expr(lhs_text.strip(), path, ln.lineno)
-        value = _parse_expr(rhs_text.strip(), path, ln.lineno)
-        _typecheck(f, db, path, ln.lineno)
-        _typecheck(value, db, path, ln.lineno)
-        try:
-            db.add_hopf0(f, value)
-        except RelationsFileError as exc:
-            raise RelationsFileError(str(exc), path, ln.lineno) from None
     return db
-
-
-def _split_summands(body: str, path: str, lineno: int) -> list[str]:
-    # split on '+' at brace depth zero
-    out, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise RelationsFileError("unbalanced braces", path, lineno)
-        if ch == "+" and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise RelationsFileError("unbalanced braces", path, lineno)
-    out.append("".join(cur).strip())
-    if any(not piece for piece in out):
-        raise RelationsFileError("empty summand", path, lineno)
-    return out

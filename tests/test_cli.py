@@ -1,8 +1,15 @@
 """CLI behavior: exit codes, output formats, stability."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_relfile import PRELUDE
 from whiteprod.cli import main
+from whiteprod.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -65,6 +72,42 @@ def test_eval_missing_relations_file_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("line,message", [
+    ("gen x_1 dom=1 cod=S1 order=-1", "negative order for x_1"),
+    ("gen x_4 dom=8 cod=S4 order=2 susp_of=zeta_3",
+     "susp_of references undeclared 'zeta_3'"),
+    ("orderfact zeta_4 = 2", "undeclared generator 'zeta_4'"),
+    ("gen x_1 dom=1 cod=S\u00b2 order=0", "cannot parse space tag"),
+])
+def test_malformed_relations_file_exit_4(tmp_path, capsys, line, message):
+    rel = tmp_path / "bad.rel"
+    rel.write_text(PRELUDE + line + "\n", encoding="utf-8")
+    lineno = PRELUDE.count("\n") + 1
+    code, _, err = run(capsys, "--relations", str(rel), "eval", "eta_4")
+    assert code == 4
+    assert err.startswith(f"error: {rel}:{lineno}: ") and message in err
+
+
+# each form nested MAX_NESTING deep, and the exit code eval gives it there
+NESTED = {
+    "parentheses": (lambda n: "(" * n + "eta_4" + ")" * n, 0),
+    "brackets": (lambda n: "[" * n + "0 iota_4" + ", iota_4]" * n, 0),
+    "scalars": (lambda n: "2 (" * n + "eta_4" + ")" * n, 0),
+    "suspensions": (lambda n: "S " * n + "eta_4", 3),
+    "products": (lambda n: "w[" * n + "iota_2" + ", iota_2]" * n, 3),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NESTED))
+def test_eval_nesting_limit(capsys, form):
+    build, code_at_limit = NESTED[form]
+    code, _, _ = run(capsys, "eval", build(MAX_NESTING))
+    assert code == code_at_limit
+    code, _, err = run(capsys, "eval", build(MAX_NESTING + 1))
+    assert code == 1
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
 def test_scenario_pass(capsys):
     code, out, _ = run(capsys, "scenario", "prop-3.2")
     assert code == 0 and "prop-3.2: pass" in out
@@ -79,6 +122,14 @@ def test_scenario_all(capsys):
 def test_scenario_unknown_exit_4(capsys):
     code, _, err = run(capsys, "scenario", "prop-9.9")
     assert code == 4 and "unknown scenario" in err
+
+
+def test_scenario_type_error_exit_2(tmp_path, capsys):
+    # prop-3.2 uses Snu', which the prelude does not declare
+    rel = tmp_path / "prelude.rel"
+    rel.write_text(PRELUDE, encoding="utf-8")
+    code, _, err = run(capsys, "--relations", str(rel), "scenario", "prop-3.2")
+    assert code == 2 and "type error" in err and "Snu'" in err
 
 
 def test_fatwedge_obstruction(capsys):
@@ -157,3 +208,69 @@ group S2 k=3 = Z{eta_2}
 """, encoding="utf-8")
     code, out, _ = run(capsys, "--relations", str(rel), "eval", "2 eta_2")
     assert code == 0 and out.strip() == "2 eta_2"
+
+
+# --- fuzz: every input ends in a documented exit code, never an exception
+
+_NAMES = ["iota_2", "iota_4", "eta_2", "eta_4", "eta_5", "nu_4", "nu_5",
+          "sigma_8", "mu_3", "alpha1(3)", "nu'", "Snu'", "eps'", "sigma'",
+          "gamma_2R", "zeta_9", "eta_1", "x'"]
+
+
+def _grammar(depth):
+    atoms = st.sampled_from(_NAMES + ["0"])
+    if depth == 0:
+        return atoms
+    sub = _grammar(depth - 1)
+    pair = st.tuples(sub, sub)
+    return st.one_of(
+        atoms,
+        pair.map(lambda p: f"{p[0]} . {p[1]}"),
+        st.tuples(sub, st.sampled_from("+-"), sub).map(" ".join),
+        st.tuples(st.integers(0, 24), sub).map(lambda p: f"{p[0]} {p[1]}"),
+        sub.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(["S", "S^2"]), sub).map(" ".join),
+        pair.map(lambda p: f"[{p[0]}, {p[1]}]"),
+        st.lists(sub, min_size=2, max_size=3).map(
+            lambda xs: "w[" + ", ".join(xs) + "]"),
+        sub.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(_NAMES), st.integers(2, 4)).map(
+            lambda p: f"{p[0]}^{p[1]}"),
+        st.tuples(sub, st.integers(2, 4)).map(lambda p: f"({p[0]})^{p[1]}"),
+    )
+
+
+_TOKENS = _NAMES + ["0", "2", "S", "S^2", "w[", ".", "o", "+", "-", "*",
+                    "[", "]", "(", ")", ",", "^", "^2", "!", "\u03b7\u2084",
+                    "\u2075"]
+_EVAL_INPUTS = st.one_of(
+    _grammar(3), st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join))
+
+
+def _quiet_main(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(_EVAL_INPUTS)
+@settings(max_examples=150, deadline=None)
+def test_eval_fuzz_ends_in_a_documented_code(text):
+    # "--" keeps a leading "-" from reading as an option
+    assert _quiet_main(["eval", "--", text]) in (0, 1, 2, 3)
+
+
+_DIM = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "x", "1.5"]))
+
+
+@given(st.lists(_DIM, max_size=8).map(",".join),
+       st.sampled_from([[], ["--obstruction"], ["--omega"]]),
+       st.one_of(st.none(), st.text("0123456789,- x", max_size=6)),
+       st.one_of(st.none(), st.integers(-1, 9)))
+@settings(max_examples=150, deadline=None)
+def test_fatwedge_fuzz_ends_in_a_documented_code(dims, mode, levels, r):
+    argv = ["fatwedge", f"--dims={dims}"] + mode
+    if levels is not None:
+        argv.append(f"--levels={levels}")
+    if r is not None:
+        argv.append(f"--r={r}")
+    assert _quiet_main(argv) in (0, 2)

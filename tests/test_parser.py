@@ -10,7 +10,7 @@ from whiteprod.expr import (Bracket, Compose, Gen, HigherBracket, Power,
                             Scalar, Signature, Sum, Susp, ZERO, expand_powers,
                             format_expr, gen, typecheck)
 from whiteprod.groups import sphere
-from whiteprod.parser import parse
+from whiteprod.parser import MAX_NESTING, parse
 
 
 def test_parse_composition():
@@ -73,6 +73,20 @@ def test_syntax_errors_carry_position():
         parse("3")
     with pytest.raises(ExprSyntaxError):
         parse("eta_4 )")
+
+
+@pytest.mark.parametrize("text", ["eta_4^\u2075", "\u2075 eta_4"])
+def test_digit_that_int_rejects_is_a_syntax_error(text):
+    # '⁵' is a digit to str.isdigit but not to int(), and is not folded
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
+
+
+def test_nesting_limit_reported_at_the_opening_token():
+    n = MAX_NESTING + 1
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("x . " + "(" * n + "eta_4" + ")" * n)
+    assert err.value.column == len("x . ") + n
 
 
 def test_typecheck_examples(db):

@@ -59,12 +59,17 @@ GOLDEN_ERRORS = [
     ("gen", "gen needs a name"),
     ("gen x_1 cod=S1 order=0", "missing dom="),
     ("gen x_1 dom=1 cod=Q1 order=0", "cannot parse space tag"),
+    ("gen x_1 dom=1 cod=S\u00b2 order=0", "cannot parse space tag"),
     ("gen x_1 dom=1 cod=S1 order=0 color=red", "unknown gen attribute"),
     ("gen eta_2 dom=3 cod=S2 order=2", "duplicate generator"),
+    ("gen x_1 dom=1 cod=S1 order=-1", "negative order for x_1"),
     ("gen x_4 dom=4 cod=S4 order=2 susp_of=eta_2", "not one suspension above"),
+    ("gen x_4 dom=8 cod=S4 order=2 susp_of=zeta_3",
+     "susp_of references undeclared 'zeta_3'"),
     ("family zeta base=2 order=2", "needs an explicit gen"),
     ("family eta base=2 order=2", "duplicate family"),
     ("group S4 k=6", "group needs ' = <summands>'"),
+    ("group S\u00b2 k=3 = 0", "cannot parse space tag"),
     ("group S4 k=6 = Z2(eta_4 . eta_5)", "bad summand"),
     ("group S4 k=6 = Z2{eta_4}", "does not live in pi_6(S4)"),
     ("group S4 k=5 = Z2{eta_4}", "duplicate group table"),
@@ -81,6 +86,7 @@ GOLDEN_ERRORS = [
     ("orderfact eta_4 = two", "wants an integer"),
     ("orderfact eta_4 = 0", "must be positive"),
     ("orderfact eta_4 . eta_5", "orderfact needs ' = '"),
+    ("orderfact zeta_4 = 2", "undeclared generator 'zeta_4'"),
     ("hopf0 iota_2", "hopf0 needs ' = '"),
     ("rel [2 iota_4, iota_4] = 0", "bracket of composite arguments"),
     ("rel [nu_4, iota_4] = [iota_4 + iota_4, nu_4]",
@@ -96,6 +102,14 @@ def test_malformed_lines_rejected(line, message):
     with pytest.raises(RelationsFileError) as err:
         load_relations_text(PRELUDE + line + "\n")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("line,message", GOLDEN_ERRORS)
+def test_every_rejection_carries_file_and_line(line, message):
+    lineno = PRELUDE.count("\n") + 1
+    with pytest.raises(RelationsFileError) as err:
+        load_relations_text(PRELUDE + line + "\n", path="bad.rel")
+    assert str(err.value).startswith(f"bad.rel:{lineno}: ")
 
 
 def test_error_carries_line_number():
