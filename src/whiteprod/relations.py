@@ -445,6 +445,7 @@ def _orderfact(db: RelationDB, ln: _Line):
         raise RelationsFileError("orderfact wants an integer order") from None
     if n <= 0:
         raise RelationsFileError("orderfact order must be positive")
+    E.typecheck(expr, db)
     chain = _unit_chain_of(expr, db, "orderfact expression")
     db.add_order_fact(OrderFact(expr, n, ln.src, chain))
 

@@ -12,7 +12,8 @@ comes back as a residue, never as a guess.
 Higher products are set-valued; the operations here compute the three
 things the coset calculus pins down exactly: emptiness (a nonvanishing
 lower product), the indeterminacy subgroup, and torsion/suspension
-constraints on a coset representative.
+constraints on a coset representative.  For r >= 4, a product with three
+or more nontrivial factors is ``undetermined``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .groups import (INFINITE, Coset, GroupElement, GroupTable, Space,
                      subgroup_generated, torsion_family)
 
 _MAX_DEPTH = 24
+_MAX_CONTAINMENT_DEPTH = 6  # nesting of containment through divided factors
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +364,21 @@ def permutation_pullback(spec: ProductSpec, sigma: Sequence[int]):
 
 
 def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus:
-    """Check the nonemptiness criterion: all lower products contain zero."""
+    """Check the nonemptiness criterion: all lower products contain zero.
+
+    For r > 2 each pair is bracketed once: unresolved gives
+    ``undetermined``, nonzero ``empty``.  A sub-product of size >= 3 is
+    certified to contain 0 only through a trivial factor, so (by induction
+    on size) exactly when at most two of its factors are nontrivial.  So
+    at r >= 4 three nontrivial factors give ``undetermined``; otherwise a
+    trivial factor gives ``contains_zero`` and none gives ``nonempty``.
+    """
     if trace is None:
         trace = []
     spec.signatures(db)
     r = spec.r
     factors = spec.factors
-    # proper sub-tuples only: for r = 2 the pair itself is the product
-    if r > 2:
+    if r > 2:  # at r = 2 the pair itself is the product
         for i in range(r):
             for j in range(i + 1, r):
                 nf = bracket(factors[i], factors[j], db, trace=trace)
@@ -386,22 +395,12 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus
                                  "bracket": f"[{E.format_expr(factors[i])}, "
                                             f"{E.format_expr(factors[j])}]",
                                  "value": nf.display()})
-    for size in range(3, r):
-        from itertools import combinations
-        for combo in combinations(range(r), size):
-            sub = ProductSpec(tuple(factors[i] for i in combo))
-            status = lower_products_vanish(sub, db, trace=trace)
-            if status.kind == "empty":
-                status.reason = (f"sub-product {tuple(i + 1 for i in combo)} "
-                                 f"is empty: {status.reason}")
-                return status
-            if status.kind != "contains_zero":
-                return ProductStatus(
-                    "undetermined",
-                    reason=f"cannot certify 0 in the sub-product "
-                           f"{tuple(i + 1 for i in combo)}")
     zero_slots = [i + 1 for i, f in enumerate(factors)
                   if evaluate(f, db).is_zero]
+    nontrivial = tuple(i for i in range(1, r + 1) if i not in zero_slots)
+    if r >= 4 and len(nontrivial) >= 3:
+        return ProductStatus("undetermined", reason=(
+            f"cannot certify 0 in the sub-product {nontrivial[:3]}"))
     if zero_slots:
         return ProductStatus(
             "contains_zero",
@@ -539,7 +538,7 @@ def triple_coset_constraints(spec: ProductSpec, db, *,
 
     # containment under scalar factors: [.., n*f, ..] sits inside
     # n*[.., f, ..] + J whenever the divided product itself resolves
-    if _depth < 6:
+    if _depth < _MAX_CONTAINMENT_DEPTH:
         for t, elt in enumerate(elements):
             if elt is None or elt.is_zero:
                 continue

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,14 @@ def test_scenario_all(capsys):
     code, out, _ = run(capsys, "scenario", "all")
     assert code == 0
     assert out.count(": pass") == 9
+
+
+def test_scenario_all_json_is_pinned(capsys):
+    # the nine scenarios' JSON output, byte for byte
+    code, out, _ = run(capsys, "--format", "json", "scenario", "all")
+    pinned = Path(__file__).parent / "data" / "scenario-all.json"
+    assert code == 0
+    assert out.encode("utf-8") == pinned.read_bytes()
 
 
 def test_scenario_unknown_exit_4(capsys):

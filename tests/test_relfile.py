@@ -87,6 +87,8 @@ GOLDEN_ERRORS = [
     ("orderfact eta_4 = 0", "must be positive"),
     ("orderfact eta_4 . eta_5", "orderfact needs ' = '"),
     ("orderfact zeta_4 = 2", "undeclared generator 'zeta_4'"),
+    ("orderfact eta_4 . eta_4 = 2",
+     "cannot compose pi_5(S4) with pi_5(S4): inner dimensions disagree"),
     ("hopf0 iota_2", "hopf0 needs ' = '"),
     ("rel [2 iota_4, iota_4] = 0", "bracket of composite arguments"),
     ("rel [nu_4, iota_4] = [iota_4 + iota_4, nu_4]",

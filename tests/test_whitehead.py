@@ -1,5 +1,8 @@
 """Bracket calculus, indeterminacy subgroups, coset constraints, catalog."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from whiteprod import expr as E
@@ -220,6 +223,114 @@ def test_lower_products_empty_from_pairwise_identity_brackets(db):
     status = W.lower_products_vanish(spec, db)
     assert status.kind == "empty"
     assert status.witness["pair"] == (3, 4)
+
+
+def _recursive_lower_products(spec, db):
+    """Reference for ``lower_products_vanish``, by its recursive definition.
+
+    The criterion, exactly as the engine decides it: for r > 2 every pair
+    [f_i, f_j] must resolve (else ``undetermined``) to 0 (else ``empty``,
+    witnessed by the first such pair); every sub-product of size 3..r-1
+    must be certified to contain 0 (else ``undetermined``, naming the
+    first sub-tuple that is not), and a sub-product is certified when it
+    satisfies this same criterion and has a trivial factor.  Then the
+    product is ``contains_zero`` when a factor is trivial and ``nonempty``
+    otherwise.  Each call re-checks all of its own sub-tuples, so this is
+    slow by design; it keeps no trace.
+    """
+    spec.signatures(db)
+    factors = spec.factors
+    r = len(factors)
+    if r > 2:
+        for i, j in combinations(range(r), 2):
+            pair = f"[{E.format_expr(factors[i])}, {E.format_expr(factors[j])}]"
+            nf = W.bracket(factors[i], factors[j], db)
+            if not nf.is_resolved:
+                return W.ProductStatus("undetermined",
+                                       reason=f"{pair} did not resolve")
+            if not nf.is_zero:
+                return W.ProductStatus(
+                    "empty", reason="a pairwise product is nonzero",
+                    witness={"pair": (i + 1, j + 1), "bracket": pair,
+                             "value": nf.display()})
+    for size in range(3, r):
+        for combo in combinations(range(r), size):
+            slots = tuple(i + 1 for i in combo)
+            sub = W.ProductSpec(tuple(factors[i] for i in combo))
+            status = _recursive_lower_products(sub, db)
+            if status.kind == "empty":
+                status.reason = f"sub-product {slots} is empty: {status.reason}"
+                return status
+            if status.kind != "contains_zero":
+                return W.ProductStatus(
+                    "undetermined",
+                    reason=f"cannot certify 0 in the sub-product {slots}")
+    zero_slots = [i + 1 for i, f in enumerate(factors)
+                  if W.evaluate(f, db).is_zero]
+    if zero_slots:
+        return W.ProductStatus(
+            "contains_zero",
+            reason=f"factor {zero_slots[0]} is trivial and all lower "
+                   f"products vanish")
+    return W.ProductStatus("nonempty",
+                           reason="all lower products contain zero")
+
+
+# factors whose pairs mostly vanish, and factors that make a pair nonzero
+# or leave it unresolved
+QUIET_S4 = ["0 iota_4", "0 eta_4", "eta_4", "eta_4^2", "2 iota_4",
+            "alpha2(4)", "alpha1'(4)", "Snu'"]
+LOUD_S4 = ["eta_4 . mu_5", "nu_4 . sigma'", "iota_4"]
+POOL_S2 = ["0 iota_2", "0 eta_2", "iota_2", "2 iota_2", "eta_2"]
+
+
+def test_lower_products_match_the_recursive_definition(db):
+    rng = random.Random(20150601)
+    reached = set()
+    for _ in range(320):
+        r = rng.randint(2, 6)
+        if rng.random() < 0.8:
+            texts = [rng.choice(LOUD_S4 if rng.random() < 0.1 else QUIET_S4)
+                     for _ in range(r)]
+        else:
+            texts = rng.choices(POOL_S2, k=r)
+        spec = W.product_spec(*(parse(t) for t in texts))
+        want = _recursive_lower_products(spec, db).to_json()
+        assert W.lower_products_vanish(spec, db).to_json() == want, texts
+        kind = want["kind"]
+        if kind == "undetermined":
+            kind = ("cannot certify" if "certify" in want["reason"]
+                    else "unresolved pair")
+        reached.add(kind)
+    assert reached == {"empty", "unresolved pair", "cannot certify",
+                       "contains_zero", "nonempty"}
+
+
+def test_lower_products_bracket_each_pair_once(db, monkeypatch):
+    calls = []
+    original = W.bracket
+
+    def counting(f, g, db, **kw):
+        calls.append((f, g))
+        return original(f, g, db, **kw)
+
+    monkeypatch.setattr(W, "bracket", counting)
+    spec = W.product_spec(*[parse("0 iota_4")] * 7)
+    assert W.lower_products_vanish(spec, db).kind == "contains_zero"
+    assert len(calls) <= 21
+
+
+def test_lower_products_trace_lists_each_pair_once(db):
+    factors = [parse(t) for t in ("eta_4", "0 iota_4", "eta_4^2", "0 eta_4")]
+    want = []
+    for f, g in combinations(factors, 2):
+        tr = []
+        assert W.bracket(f, g, db, trace=tr).is_zero
+        want += [s.to_json() for s in tr]
+    tr = []
+    status = W.lower_products_vanish(W.product_spec(*factors), db, trace=tr)
+    assert status.kind == "contains_zero"
+    assert [s.to_json() for s in tr] == want
 
 
 def test_triple_constraints_flagship(db):
