@@ -2,9 +2,10 @@
 
 Composition is written left to right: ``f . g`` applies g's domain first,
 i.e. f: S^m -> X precomposed with g: S^k -> S^m.  Powers are notation
-only (``eta_4^2`` means ``eta_4 . eta_5``) and are expanded against the
-generator declarations during typechecking; the parse tree keeps the
-Power node so that parse/format round-trips are structural.
+only (``eta_4^2`` means ``eta_4 . eta_5``): typechecking reads their
+signature, and they are expanded against the generator declarations
+when flattened; the parse tree keeps the Power node so that
+parse/format round-trips are structural.
 """
 
 from __future__ import annotations

@@ -296,11 +296,6 @@ class _Lattice:
         self.n = n
         self.rows: list[list[int]] = []
 
-    def copy(self) -> "_Lattice":
-        other = _Lattice(self.n)
-        other.rows = [r.copy() for r in self.rows]
-        return other
-
     @staticmethod
     def _pivot(row):
         for j, v in enumerate(row):

@@ -136,12 +136,11 @@ class RelationDB:
         self.tables[table.key] = table
         self._basis[table.key] = chains
         for i, ch in enumerate(chains):
-            k = ch.key()
-            if k in self._basis_index:
+            if ch in self._basis_index:
                 raise RelationsFileError(
                     f"generator chain {table.gens[i].label!r} already names "
                     f"a basis element")
-            self._basis_index[k] = (table, i)
+            self._basis_index[ch] = (table, i)
 
     def table(self, target: Space, k: int) -> Optional[GroupTable]:
         return self.tables.get(TableKey(target, k))
@@ -150,25 +149,23 @@ class RelationDB:
         return self._basis[key]
 
     def basis_lookup(self, chain) -> Optional[tuple]:
-        return self._basis_index.get(chain.key())
+        return self._basis_index.get(chain)
 
     # -- relations and facts ------------------------------------------------
 
     def add_relation(self, rel: Relation):
-        key = rel.lhs_chain.key()
-        prior = self._rel_index.get(key)
+        prior = self._rel_index.get(rel.lhs_chain)
         if prior is not None:
             raise ConflictingRelations(
                 f"lhs {E.format_expr(rel.lhs)!r} already rewritten by {prior.name}")
-        self._rel_index[key] = rel
+        self._rel_index[rel.lhs_chain] = rel
         self.relations.append(rel)
 
     def bracket_relation(self, left, right) -> Optional[Relation]:
-        return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}).key())
+        return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}))
 
     def add_order_fact(self, fact: OrderFact):
-        key = fact.chain.key()
-        prior = self._fact_index.get(key)
+        prior = self._fact_index.get(fact.chain)
         if prior is not None and prior.order != fact.order:
             raise ConflictingRelations(
                 f"conflicting orders for {E.format_expr(fact.expr)!r}")
@@ -178,10 +175,10 @@ class RelationDB:
                 f"order fact for {E.format_expr(fact.expr)!r} disagrees with "
                 f"the {hit[0].key} table")
         if prior is None:
-            self._fact_index[key] = fact
+            self._fact_index[fact.chain] = fact
 
     def order_fact(self, chain) -> Optional[int]:
-        fact = self._fact_index.get(chain.key())
+        fact = self._fact_index.get(chain)
         return fact.order if fact else None
 
     def hopf0_value(self, f: E.Expr) -> Optional[E.Expr]:
@@ -280,7 +277,7 @@ def _composite_bracket(terms) -> bool:
 def _flatten_entry(e: E.Expr, db: RelationDB, what: str) -> dict:
     """Flatten a file entry; data entries may bracket only single chains."""
     try:
-        fs = R.flatten(E.expand_powers(e, db), db)
+        fs = R.flatten(e, db)
     except R.Blocked as b:
         raise RelationsFileError(f"{what} does not flatten: {b.reason}") from None
     if _composite_bracket(fs.items()):

@@ -20,7 +20,9 @@ The linearity discipline follows the composition calculus for homotopy
 classes: a fixed left factor is linear in the right factor, while sums
 and scalar multiples may cross a right factor only when that factor is a
 suspension class.  Compositions blocked by that rule come back as a
-Residue, never as a silently wrong answer.
+Residue, never as a silently wrong answer.  A residue is kept as its
+formal sum and rendered as an expression only when shown; chains, being
+frozen values, are their own dictionary keys.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class Chain:
     space: Space
 
     def key(self):
+        """The canonical sort order of chains (equality is the dataclass's)."""
         return (str(self.space), self.dom, tuple(a.key() for a in self.atoms))
 
     @property
@@ -279,7 +282,8 @@ def smash_fs(a: dict, b: dict, q: int, p_src: int, db) -> dict:
 # flattening expressions
 
 def flatten(e: E.Expr, db) -> dict:
-    """Expr -> formal sum; raises Blocked on non-distributable shapes."""
+    """Expr -> formal sum, expanding powers (their one expansion);
+    raises Blocked on non-distributable shapes."""
     if isinstance(e, E.Gen):
         decl = db.decl(e.name)
         if decl is None:
@@ -372,15 +376,17 @@ class TraceStep:
 @dataclass
 class NormalForm:
     """A resolved form is zero exactly when ``fs`` is empty; its element
-    is None only when its signature has no table.  A residue's ``fs`` is
-    None when flattening was blocked and only ``expr`` remains."""
+    is None only when its signature has no table.  A residue keeps its
+    formal sum ``fs`` and renders ``expr`` from it when read; only a
+    residue whose flattening was blocked (``fs`` None) stores the input
+    expression, its one form."""
 
     status: str  # "resolved" | "residue"
     signature: Optional[E.Signature]
     element: Optional[GroupElement] = None
-    expr: Optional[E.Expr] = None
-    reason: Optional[str] = None
-    trace: list = field(default_factory=list)
+    _expr: Optional[E.Expr] = None
+    reason: Optional[str] = field(default=None, compare=False)
+    trace: list = field(default_factory=list, compare=False)
     fs: Optional[dict] = None
 
     @property
@@ -391,18 +397,16 @@ class NormalForm:
     def is_zero(self) -> bool:
         return self.is_resolved and not self.fs
 
+    @property
+    def expr(self) -> Optional[E.Expr]:
+        if self.is_resolved or self.fs is None:
+            return self._expr
+        return unflatten(self.fs)
+
     def display(self) -> str:
         if self.is_resolved:
             return "0" if self.element is None else str(self.element)
-        return E.format_expr(self.expr) if self.expr is not None else "<residue>"
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return (self.status == other.status
-                and self.signature == other.signature
-                and self.element == other.element and self.fs == other.fs
-                and (self.fs is not None or self.display() == other.display()))
+        return E.format_expr(self.expr)
 
     def to_json(self) -> dict:
         out = {"status": self.status,
@@ -419,8 +423,7 @@ class NormalForm:
 
 def residue(fs: dict, sig: Optional[E.Signature], reason: str,
             trace: list) -> NormalForm:
-    return NormalForm("residue", sig, expr=unflatten(fs), reason=reason,
-                      trace=trace, fs=fs)
+    return NormalForm("residue", sig, reason=reason, trace=trace, fs=fs)
 
 
 def zero_form(sig: Optional[E.Signature], db, trace: list) -> NormalForm:
@@ -508,7 +511,7 @@ def _reduce_coefficients(fs: dict, db, trace) -> bool:
                 del fs[ch]
             trace.append(TraceStep(
                 "order-reduce",
-                f"coefficient {c} = {c2} (mod {g}) on {E.format_expr(chain_to_expr(ch))}",
+                f"coefficient {c} = {c2} (mod {g}) on {render({ch: 1})}",
                 before, render({ch: c2} if c2 else {})))
             changed = True
     return changed
@@ -568,11 +571,11 @@ def normalize(e: E.Expr, db, *, sig_hint: Optional[E.Signature] = None,
     sig = E.typecheck(e, db)
     if sig is None:
         sig = sig_hint
-    e2 = E.expand_powers(e, db)
     try:
-        fs = flatten(e2, db)
+        fs = flatten(e, db)
     except Blocked as b:
-        return NormalForm("residue", sig, expr=e2, reason=b.reason, trace=trace)
+        return NormalForm("residue", sig, _expr=E.expand_powers(e, db),
+                          reason=b.reason, trace=trace)
     return normalize_fs(fs, sig, db, relation_order=relation_order,
                         reverse_scan=reverse_scan, trace=trace)
 
@@ -661,7 +664,7 @@ def smash(a: E.Expr, b: E.Expr, db) -> E.Expr:
     if not (sa.target.is_sphere and sb.target.is_sphere):
         raise DegreeMismatch("smash realization needs sphere factors")
     try:
-        fa, fb = (flatten(E.expand_powers(x, db), db) for x in (a, b))
+        fa, fb = flatten(a, db), flatten(b, db)
         ok = all(ch.is_suspension_class for ch in (*fa, *fb))
     except Blocked:
         ok = False

@@ -104,18 +104,17 @@ def bracket(f: E.Expr, g: E.Expr, db, *,
     """Evaluate the classical Whitehead product [f, g]."""
     if trace is None:
         trace = []
-    sf, sg = E.typecheck(f, db), E.typecheck(g, db)
-    if sf is not None and sg is not None and sf.target != sg.target:
-        raise MixedTargets(f"bracket mixes {sf.target} and {sg.target}")
-    sig = None
-    if sf is not None and sg is not None:
-        sig = E.Signature(sf.source_dim + sg.source_dim - 1, sf.target)
-
     nf_f = evaluate(f, db, trace=trace)
     nf_g = evaluate(g, db, trace=trace)
+    sf, sg = nf_f.signature, nf_g.signature
+    sig = None
+    if sf is not None and sg is not None:
+        if sf.target != sg.target:
+            raise MixedTargets(f"bracket mixes {sf.target} and {sg.target}")
+        sig = E.Signature(sf.source_dim + sg.source_dim - 1, sf.target)
     if not (nf_f.is_zero or nf_g.is_zero) and (nf_f.fs is None or nf_g.fs is None):
         return R.NormalForm(
-            "residue", sig, expr=E.Bracket(f, g),
+            "residue", sig, _expr=E.Bracket(f, g),
             reason="bracket arguments do not normalize to chains",
             trace=trace)
     return _bracket_nf(nf_f, nf_g, sig, db, trace, 0,

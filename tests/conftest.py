@@ -1,8 +1,16 @@
+import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from whiteprod.relations import load_relations_text
+
+# Child processes (``python -m whiteprod.cli``) import whiteprod from this
+# checkout too, as pyproject.toml's ``pythonpath`` makes the tests do.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,33 @@ def test_residue_keeps_simplified_form(db):
     assert format_expr(nf.expr) == "eta_6 . eta_7"
 
 
+def test_residue_keeps_only_its_formal_sum(db, monkeypatch):
+    # a residue is built without rendering; it renders when shown
+    fs = R.flatten(parse("eta_6 . eta_7"), db)
+
+    def refuse(_):
+        raise AssertionError("residue rendered its formal sum eagerly")
+
+    monkeypatch.setattr(R, "unflatten", refuse)
+    nf = R.residue(fs, None, "why", [])
+    monkeypatch.undo()
+    assert nf.display() == R.render(fs)
+
+
+def test_blocked_residue_shows_expanded_powers(db):
+    nf = norm(db, "(nu_5 + nu_5) . sigma_8^2")
+    assert nf.status == "residue" and nf.fs is None
+    assert nf.display() == "(nu_5 + nu_5) . (sigma_8 . S^7 sigma_8)"
+
+
+def test_blocked_residues_compare_by_value(db):
+    nf = norm(db, "(nu_5 + nu_5) . sigma_8^2")
+    assert nf == norm(db, "(nu_5 + nu_5) . sigma_8^2")
+    other = norm(db, "(2 nu_5) . sigma_8")
+    assert other.status == "residue" and other.fs is None
+    assert nf != other
+
+
 def test_suspend_composition(db):
     out = R.suspend(parse("eta_4 . mu_5"), 1, db)
     assert out == parse("eta_5 . mu_6")

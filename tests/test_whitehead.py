@@ -7,7 +7,7 @@ import pytest
 
 from whiteprod import expr as E
 from whiteprod import whitehead as W
-from whiteprod.errors import MissingTable, UnknownQuery
+from whiteprod.errors import MissingTable, MixedTargets, UnknownQuery
 from whiteprod.groups import order_of, sphere, subgroup_generated
 from whiteprod.parser import parse
 
@@ -43,6 +43,11 @@ def test_bracket_zero_factor(db):
 def test_bracket_self_eta(db):
     nf = bk(db, "eta_4", "eta_4")
     assert nf.is_resolved and nf.display() == "Snu' . eta_7^2"
+
+
+def test_bracket_of_mixed_targets(db):
+    with pytest.raises(MixedTargets, match="bracket mixes S4 and S2"):
+        W.bracket(E.gen("eta_4"), E.gen("eta_2"), db)
 
 
 def test_bracket_coprime_rule(db):
