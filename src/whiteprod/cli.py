@@ -5,12 +5,12 @@
     whiteprod fatwedge --dims 2,2,2,2 --obstruction
     whiteprod tables --format json
 
-Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error,
-3 unresolved residue (printed), 4 I/O error or malformed relations file.
-``scenario`` exits 1 on a failed expectation, 2 on a typecheck or other
-calculation error, 4 on an unknown name, I/O error or malformed relations
-file; ``fatwedge`` exits 2 on bad dimensions, levels or another calculation
-error.  ``main`` maps every error to its code in one place.  Results go to
+Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error or
+calculation limit, 3 unresolved residue (printed), 4 I/O error or malformed
+relations file.  ``scenario`` exits 1 on a failed expectation, 2 on a
+typecheck or other calculation error, 4 on an unknown name, I/O error or
+malformed relations file; ``fatwedge`` exits 2 on bad dimensions, levels or
+another calculation error.  ``main`` maps every error to its code in one place.  Results go to
 stdout, diagnostics to stderr; JSON output is stable across runs.
 """
 

@@ -65,6 +65,10 @@ class StepLimitExceeded(CalcError):
     """Rewriting did not reach a fixed point within the step budget."""
 
 
+class DepthLimitExceeded(CalcError):
+    """Bracket expansion nested deeper than its depth budget."""
+
+
 class RelationsFileError(CalcError):
     """Malformed line in a relations file."""
 

@@ -29,7 +29,6 @@ class Signature:
 @dataclass(frozen=True)
 class Gen:
     name: str
-    index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,8 @@ Expr = Union[Gen, Compose, Susp, Sum, Scalar, Bracket, HigherBracket, Power]
 ZERO = Sum(())
 
 
-def gen(name: str, index: Optional[int] = None) -> Gen:
-    if index is None:
-        from .names import split_name
-        _, index, _ = split_name(name)
-    return Gen(name, index)
+def gen(name: str) -> Gen:
+    return Gen(name)
 
 
 def compose(*factors: Expr) -> Expr:

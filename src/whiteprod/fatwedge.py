@@ -7,25 +7,19 @@ r - s.  The cohomology of T_a/T_b is therefore free on the subsets S with
 r - b < |S| <= r - a, and the cup product is the subset union with a
 Koszul sign, truncated to the basis.  No torsion arises, so integer
 coefficients suffice.
+
+A ring is its sphere tuple and its two levels: basis membership is the
+size test itself, and the Betti numbers are counted from the generating
+polynomial prod_i (1 + x t^{m_i}).  The basis is listed only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import BadLevels, NotInRing
-
-
-@lru_cache(maxsize=None)
-def _basis_subsets(r: int, a: int, b: int) -> tuple:
-    sizes = range(r - b + 1, r - a + 1)
-    return tuple(sorted(
-        (frozenset(c) for size in sizes if size >= 1
-         for c in combinations(range(1, r + 1), size)),
-        key=lambda s: (len(s), sorted(s))))
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,24 @@ class QuotientRing:
                             f"got ({a}, {b})")
         self.tuple = tuple_
         self.levels = (a, b)
-        self.basis = _basis_subsets(r, a, b)
-        self._basis_set = frozenset(self.basis)
+
+    @property
+    def _sizes(self) -> range:
+        a, b = self.levels
+        return range(self.tuple.r - b + 1, self.tuple.r - a + 1)
+
+    def _holds(self, s: frozenset) -> bool:
+        return len(s) in self._sizes and s.issubset(range(1, self.tuple.r + 1))
+
+    @property
+    def basis(self) -> tuple:
+        """The basis subsets by size, then lexicographically."""
+        return tuple(frozenset(c) for k in self._sizes
+                     for c in combinations(range(1, self.tuple.r + 1), k))
 
     def generator(self, subset: Iterable[int]) -> CohomClass:
         s = frozenset(subset)
-        if s not in self._basis_set:
+        if not self._holds(s):
             raise NotInRing(f"{sorted(s)} is not a basis subset of this ring")
         return CohomClass({s: 1})
 
@@ -109,33 +115,39 @@ class QuotientRing:
         return self.tuple.degree(subset)
 
     def betti(self) -> dict:
+        """Ranks by ascending degree: the coefficients of x^k t^d in
+        prod_i (1 + x t^{m_i}), summed over the basis sizes k."""
+        counts = [{0: 1}]  # counts[k][d]: subsets of size k and degree d
+        for m in self.tuple.dims:
+            counts.append({})
+            for k in range(len(counts) - 1, 0, -1):
+                for d, n in counts[k - 1].items():
+                    counts[k][d + m] = counts[k].get(d + m, 0) + n
         out: dict[int, int] = {}
-        for s in self.basis:
-            d = self.degree(s)
-            out[d] = out.get(d, 0) + 1
-        return out
+        for k in self._sizes:
+            for d, n in counts[k].items():
+                out[d] = out.get(d, 0) + n
+        return dict(sorted(out.items()))
 
     def __str__(self):
         a, b = self.levels
-        return (f"H*(T_{a}/T_{b}) of spheres {self.tuple.dims}: "
-                f"{len(self.basis)} classes")
+        rank = sum(self.betti().values())
+        return f"H*(T_{a}/T_{b}) of spheres {self.tuple.dims}: {rank} classes"
 
     def to_json(self, with_products: bool = False) -> dict:
+        basis = self.basis
         out = {
             "dims": list(self.tuple.dims),
             "levels": list(self.levels),
-            "basis": [sorted(s) for s in self.basis],
-            "degrees": {str(sorted(s)): self.degree(s) for s in self.basis},
-            "betti": {str(d): n for d, n in sorted(self.betti().items())},
+            "basis": [sorted(s) for s in basis],
+            "degrees": {str(sorted(s)): self.degree(s) for s in basis},
+            "betti": {str(d): n for d, n in self.betti().items()},
         }
         if with_products:
-            table = []
-            for s in self.basis:
-                for t in self.basis:
-                    prod = cup(CohomClass({s: 1}), CohomClass({t: 1}), self)
-                    table.append({"left": sorted(s), "right": sorted(t),
-                                  "product": repr(prod)})
-            out["products"] = table
+            out["products"] = [
+                {"left": sorted(s), "right": sorted(t), "product": repr(
+                    cup(CohomClass({s: 1}), CohomClass({t: 1}), self))}
+                for s in basis for t in basis]
         return out
 
 
@@ -146,34 +158,24 @@ def ring(a: int, b: int, tuple_: SphereTuple) -> QuotientRing:
 
 def _koszul_sign(s: frozenset, t: frozenset, dims: tuple) -> int:
     """Sign of the degree-weighted shuffle merging s before t."""
-    sign = 1
-    for i in s:
-        for j in t:
-            if i > j:
-                if (dims[i - 1] * dims[j - 1]) % 2 == 1:
-                    sign = -sign
-    return sign
+    odd = sum(dims[i - 1] * dims[j - 1] for i in s for j in t if i > j)
+    return -1 if odd % 2 else 1
 
 
 def cup(x: CohomClass, y: CohomClass, ring_: QuotientRing) -> CohomClass:
     """Bilinear product; subset classes multiply to their union or die."""
     for s in list(x.coeffs) + list(y.coeffs):
-        if s not in ring_._basis_set:
+        if not ring_._holds(s):
             raise NotInRing(f"{sorted(s)} is not in the ring's span")
     out: dict = {}
     dims = ring_.tuple.dims
     for s, c in x.coeffs.items():
         for t, d in y.coeffs.items():
-            if s & t:
-                continue
             u = s | t
-            if u not in ring_._basis_set:
+            if s & t or not ring_._holds(u):
                 continue
-            val = c * d * _koszul_sign(s, t, dims)
-            out[u] = out.get(u, 0) + val
-            if out[u] == 0:
-                del out[u]
-    return CohomClass(out)
+            out[u] = out.get(u, 0) + c * d * _koszul_sign(s, t, dims)
+    return CohomClass(out)  # drops the coefficients that cancelled
 
 
 @dataclass(frozen=True)
@@ -198,15 +200,12 @@ def retraction_obstruction(tuple_: SphereTuple) -> Optional[Witness]:
     indices for their classes to survive the quotient by the wedge.
     """
     r = tuple_.r
+    if r < 4:
+        return None  # complementary pairs need two indices on each side
+    killed = QuotientRing(tuple_, 1, r - 1)
+    alive = QuotientRing(tuple_, 0, r - 1)
     everything = frozenset(range(1, r + 1))
-    rings = None
-    # complementary pairs need two indices on each side, so the size loop
-    # is empty (and the answer None) for r = 2, 3
     for size in range(2, r - 1):
-        if rings is None:
-            rings = (QuotientRing(tuple_, 1, r - 1),
-                     QuotientRing(tuple_, 0, r - 1))
-        killed, alive = rings
         for left in combinations(range(1, r + 1), size):
             s = frozenset(left)
             t = everything - s

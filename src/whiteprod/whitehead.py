@@ -25,13 +25,14 @@ from typing import Callable, Optional, Sequence
 
 from . import expr as E
 from . import rewrite as R
-from .errors import (DegreeMismatch, MissingTable, MixedTargets,
-                     UndeterminedResult, UnknownQuery)
+from .errors import (DegreeMismatch, DepthLimitExceeded, MissingTable,
+                     MixedTargets, UndeterminedResult, UnknownQuery)
 from .groups import (INFINITE, Coset, GroupElement, GroupTable, Space,
                      Subgroup, TableGen, TableKey, order_of, sphere,
                      subgroup_generated, torsion_family)
+from .parser import MAX_NESTING
 
-_MAX_DEPTH = 24
+_MAX_DEPTH = 2 * MAX_NESTING + 24  # 2 per bracket level, 24 for the rules
 _MAX_CONTAINMENT_DEPTH = 6  # nesting of containment through divided factors
 
 
@@ -63,8 +64,8 @@ def evaluate_fs(fs: dict, sig: Optional[E.Signature], db, *,
                 trace: Optional[list] = None, _depth: int = 0) -> R.NormalForm:
     """``evaluate`` for a formal sum of signature ``sig``."""
     if _depth > _MAX_DEPTH:
-        return R.residue(fs, sig, "bracket recursion limit",
-                         [] if trace is None else trace)
+        raise DepthLimitExceeded(
+            f"bracket expansion exceeded the depth limit of {_MAX_DEPTH}")
     nf = R.normalize_fs(fs, sig, db, trace=trace)
     return _expand_brackets(nf, db, nf.trace, _depth)
 

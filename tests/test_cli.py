@@ -283,3 +283,21 @@ def test_fatwedge_fuzz_ends_in_a_documented_code(dims, mode, levels, r):
     if r is not None:
         argv.append(f"--r={r}")
     assert _quiet_main(argv) in (0, 2)
+
+
+def nested_iota(n: int) -> str:
+    return "[" * n + "iota_4" + ", iota_4]" * n
+
+
+@pytest.mark.parametrize("n", [14, 30])
+def test_eval_nested_brackets_resolve(capsys, n):
+    code, out, _ = run(capsys, "eval", nested_iota(n))
+    assert code == 0 and out.strip() == "0"
+
+
+def test_eval_bracket_depth_limit_is_named(capsys, monkeypatch):
+    from whiteprod import whitehead as W
+    monkeypatch.setattr(W, "_MAX_DEPTH", 6)
+    code, out, err = run(capsys, "eval", nested_iota(8))
+    assert code == 2 and out == ""
+    assert "depth limit of 6" in err

@@ -138,3 +138,46 @@ def test_ring_json_dump():
     js = r.to_json(with_products=True)
     assert js["basis"] == [[1, 2]]
     assert js["products"][0]["product"] == "0"
+
+
+def _enumerated_basis(r: int, a: int, b: int) -> list:
+    """Every subset of {1..r} with r - b < |S| <= r - a, by size, then
+    lexicographically, from the whole power set."""
+    subsets = [frozenset(c) for size in range(r + 1)
+               for c in combinations(range(1, r + 1), size)]
+    basis = [s for s in subsets if r - b < len(s) <= r - a]
+    return sorted(basis, key=lambda s: (len(s), sorted(s)))
+
+
+def test_membership_and_basis_order_against_enumeration():
+    from whiteprod.fatwedge import QuotientRing
+    for r in range(2, 7):
+        t = sphere_tuple(*[(i % 3) + 1 for i in range(r)])
+        subsets = [frozenset(c) for size in range(r + 2)
+                   for c in combinations(range(0, r + 2), size)]
+        for full in (False, True):
+            top = r if full else r - 1
+            for a, b in combinations(range(top + 1), 2):
+                rg = QuotientRing(t, a, b, _allow_full=full)
+                oracle = _enumerated_basis(r, a, b)
+                assert list(rg.basis) == oracle
+                members = set(oracle)
+                for s in subsets:
+                    try:
+                        rg.generator(s)
+                        held = True
+                    except NotInRing:
+                        held = False
+                    assert held == (s in members), (r, a, b, sorted(s))
+
+
+def test_sixty_four_spheres_answer_without_the_basis():
+    from math import comb
+    t = sphere_tuple(*[2] * 64)
+    w = retraction_obstruction(t)
+    assert (w.left, w.right) == ((1, 2), tuple(range(3, 65)))
+    assert (w.vanishing_ring, w.nonvanishing_ring) == ((1, 63), (0, 63))
+    w = omega_nontriviality(t)
+    assert (w.left, w.right) == ((1,), tuple(range(2, 65)))
+    assert ring(0, 63, t).betti() == {2 * k: comb(64, k)
+                                      for k in range(2, 65)}

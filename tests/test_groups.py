@@ -196,3 +196,11 @@ def test_table_serialization_roundtrip(db):
 def test_space_parsing():
     assert str(Space("RP", 2)) == "RP2"
     assert sphere(4).is_sphere
+
+
+def test_module_doctests():
+    import doctest
+
+    import whiteprod.groups as G
+    result = doctest.testmod(G)
+    assert result.attempted == 4 and result.failed == 0

@@ -163,3 +163,10 @@ def test_typecheck_composability_fuzz(p_dom, p_cod, q_dom, q_cod):
     else:
         with pytest.raises(DegreeMismatch):
             typecheck(e, env)
+
+
+def test_gen_is_the_bare_name():
+    # a generator is its name; the family index is read from the name
+    # where a relation needs it, never stored on the node
+    assert gen("eta_4") == Gen("eta_4")
+    assert parse("alpha2(4)") == Gen("alpha2(4)")

@@ -7,7 +7,8 @@ import pytest
 
 from whiteprod import expr as E
 from whiteprod import whitehead as W
-from whiteprod.errors import MissingTable, MixedTargets, UnknownQuery
+from whiteprod.errors import (DepthLimitExceeded, MissingTable, MixedTargets,
+                              UnknownQuery)
 from whiteprod.groups import order_of, sphere, subgroup_generated
 from whiteprod.parser import parse
 
@@ -446,3 +447,12 @@ def test_known_results_rpn(db):
 def test_known_results_unknown(db):
     with pytest.raises(UnknownQuery):
         W.known_results(db, "nope")
+
+
+def test_bracket_depth_limit_raises_a_named_error(db, monkeypatch):
+    # every nesting the parser accepts fits under the limit; a lowered
+    # limit binds on a deep nest and says so instead of leaving a residue
+    monkeypatch.setattr(W, "_MAX_DEPTH", 6)
+    with pytest.raises(DepthLimitExceeded, match="depth limit of 6"):
+        W.evaluate(parse("[" * 8 + "iota_4" + ", iota_4]" * 8), db)
+    assert W.evaluate(parse("[[iota_4, iota_4], iota_4]"), db).is_zero
