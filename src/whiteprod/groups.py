@@ -69,8 +69,8 @@ class GeneratorDecl:
     """A named generator of some homotopy group pi_k(target).
 
     ``order`` 0 encodes infinite order.  ``suspension_of`` names the
-    generator one suspension below; ``is_suspension`` is set whenever the
-    class desuspends (explicit link or family membership above the base).
+    generator one suspension below, for an explicit link and for every
+    family member above the base; ``is_suspension`` is derived from it.
     """
 
     name: str
@@ -78,13 +78,14 @@ class GeneratorDecl:
     target: Space
     order: int
     suspension_of: str | None = None
-    is_suspension: bool = False
 
     def __post_init__(self):
         if self.order < 0:
             raise CalcError(f"negative order for {self.name}")
-        if self.suspension_of is not None and not self.is_suspension:
-            object.__setattr__(self, "is_suspension", True)
+
+    @property
+    def is_suspension(self) -> bool:
+        return self.suspension_of is not None
 
 
 @dataclass(frozen=True)

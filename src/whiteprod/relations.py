@@ -23,7 +23,7 @@ which the sign choice does not affect.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import expr as E
@@ -96,19 +96,27 @@ class RelationDB:
             raise RelationsFileError(f"duplicate family {fam.name!r}")
         self._families[fam.name] = fam
 
+    def _family_member(self, name: str) -> Optional[tuple]:
+        """(family, sphere index, the member below) for a family member
+        above its base: the suspension of that member below."""
+        fam_name, idx, style = split_name(name)
+        fam = self._families.get(fam_name)
+        if fam is None or idx is None or style != fam.style or idx <= fam.base:
+            return None
+        return fam, idx, join_name(fam_name, idx - 1, style)
+
     def decl(self, name: str) -> Optional[GeneratorDecl]:
         if name in self._decls:
             return self._decls[name]
         if name in self._synth:
             return self._synth[name]
-        fam_name, idx, style = split_name(name)
-        fam = self._families.get(fam_name)
-        if fam is None or idx is None or style != fam.style or idx <= fam.base:
+        member = self._family_member(name)
+        if member is None:
             return None
-        below = join_name(fam_name, idx - 1, style)
+        fam, idx, below = member
         decl = GeneratorDecl(
             name=name, source_dim=idx + fam.stem, target=sphere(idx),
-            order=fam.default_order, suspension_of=below, is_suspension=True)
+            order=fam.default_order, suspension_of=below)
         self._synth[name] = decl
         return decl
 
@@ -363,8 +371,18 @@ def _family(db: RelationDB, ln: _Line):
 
 
 def _susp_link(db: RelationDB, ln: _Line):
-    """Validate a gen line's susp_of link; runs once every family exists."""
+    """Validate a gen line's susp_of link; runs once every family exists.
+    A family member above its base links to the member below."""
     decl = db._decls[ln.body.split()[0]]
+    member = db._family_member(decl.name)
+    if member is not None and decl.suspension_of is None:
+        decl = replace(decl, suspension_of=member[2])
+        del db._decls[decl.name]
+        db.add_decl(decl)  # registers the link as a susp_of line would
+    elif member is not None and decl.suspension_of != member[2]:
+        raise RelationsFileError(
+            f"family member {decl.name!r} is the suspension of "
+            f"{member[2]!r}, not of {decl.suspension_of!r}")
     if decl.suspension_of is None:
         return
     below = db.decl(decl.suspension_of)

@@ -1,11 +1,12 @@
 """Relation-driven normalization of expressions into group-table elements.
 
 Internally an expression is flattened once to a formal integer
-combination of *chains*: composition strings of atoms (named generators,
-symbolic suspensions of named generators, and inert Whitehead-bracket
-atoms, whose two arguments are themselves nonzero formal sums).
-``normalize`` typechecks and flattens; ``normalize_fs`` then loops three
-phases over the formal sum to a fixed point:
+combination of *chains*: composition strings of atoms.  A generator atom
+is Sigma^k of a declared name (k > 0 only past the last name of its
+family, where suspending and desuspending change only k); a bracket atom
+is inert, its two arguments nonzero formal sums.  ``normalize``
+typechecks and flattens; ``normalize_fs`` then loops three phases over
+the formal sum to a fixed point:
 
   resolve    match all chains against the basis chains of the table for
              the expression's signature;
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 from . import expr as E
 from .errors import (DegreeMismatch, NoSuspensionFamily, NotASuspension,
                      StepLimitExceeded)
-from .groups import GroupElement, Space, sphere
+from .groups import GeneratorDecl, GroupElement, Space, sphere
 
 STEP_LIMIT = 10_000
 
@@ -44,48 +45,33 @@ STEP_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class GenAtom:
+    """Sigma^k of a declared generator: equal, hashed and sorted by
+    (name, k); everything else is read from the database's declaration."""
+
     name: str
-    dom: int
-    cod: int
-    space: Space
-    order: int
-    is_susp: bool
-
-    def key(self):
-        return ("g", self.name, self.dom, str(self.space))
-
-
-@dataclass(frozen=True)
-class SuspAtom:
-    """Sigma^k of a named generator that has no named class k steps up."""
-
     k: int
-    base: GenAtom
+    decl: GeneratorDecl = field(compare=False, repr=False)
 
     @property
     def dom(self) -> int:
-        return self.base.dom + self.k
-
-    @property
-    def cod(self) -> int:
-        return self.base.cod + self.k
+        return self.decl.source_dim + self.k
 
     @property
     def space(self) -> Space:
-        return sphere(self.base.cod + self.k)
+        return sphere(self.decl.target.n + self.k) if self.k else self.decl.target
 
     @property
     def order(self) -> int:
-        # order(Sigma x) divides order(x), so the base order is a valid
+        # order(Sigma x) divides order(x), so the declared order is a valid
         # annihilator even though the true order may be smaller.
-        return self.base.order
+        return self.decl.order
 
     @property
     def is_susp(self) -> bool:
-        return True
+        return self.k > 0 or self.decl.is_suspension
 
     def key(self):
-        return ("s", self.k) + self.base.key()
+        return ("g", self.name) if not self.k else ("s", self.k, "g", self.name)
 
 
 @dataclass(frozen=True)
@@ -215,16 +201,17 @@ def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
 
 
 def susp_atom(atom, k: int, db):
-    """Sigma^k of an atom; None kills the term (brackets suspend to zero)."""
+    """Sigma^k of an atom; None kills the term (brackets suspend to zero).
+    A name steps along its family; past its last name only ``k`` grows."""
     if isinstance(atom, BracketAtom):
         return None
-    if isinstance(atom, SuspAtom):
-        return SuspAtom(atom.k + k, atom.base)
+    if atom.k:
+        return GenAtom(atom.name, atom.k + k, atom.decl)
     name = atom.name
     for step in range(k):
         nxt = db.susp_name(name)
         if nxt is None:
-            return SuspAtom(k - step, _gen_atom(db, name))
+            return _gen_atom(db, name, k - step)
         name = nxt
     return _gen_atom(db, name)
 
@@ -233,21 +220,14 @@ def desusp_atom(atom, db):
     """One step down, or None when the atom does not desuspend."""
     if isinstance(atom, BracketAtom):
         return None
-    if isinstance(atom, SuspAtom):
-        return atom.base if atom.k == 1 else SuspAtom(atom.k - 1, atom.base)
-    if not atom.is_susp:
-        return None
-    below = db.desusp_name(atom.name)
-    if below is None:
-        return None
-    return _gen_atom(db, below)
+    if atom.k:
+        return GenAtom(atom.name, atom.k - 1, atom.decl)
+    below = atom.decl.suspension_of
+    return None if below is None else _gen_atom(db, below)
 
 
-def _gen_atom(db, name: str) -> GenAtom:
-    decl = db.decl(name)
-    return GenAtom(name=decl.name, dom=decl.source_dim, cod=decl.target.n,
-                   space=decl.target, order=decl.order,
-                   is_susp=decl.is_suspension)
+def _gen_atom(db, name: str, k: int = 0) -> GenAtom:
+    return GenAtom(name, k, db.decl(name))
 
 
 def susp_chain(ch: Chain, k: int, db) -> Optional[Chain]:
@@ -258,6 +238,17 @@ def susp_chain(ch: Chain, k: int, db) -> Optional[Chain]:
             return None
         atoms.append(s)
     return Chain(tuple(atoms), ch.dom + k, sphere(ch.space.n + k))
+
+
+def desusp_chain(ch: Chain, db) -> Optional[Chain]:
+    """One step down for every atom, or None when one does not desuspend."""
+    atoms = []
+    for a in ch.atoms:
+        d = desusp_atom(a, db)
+        if d is None:
+            return None
+        atoms.append(d)
+    return Chain(tuple(atoms), ch.dom - 1, sphere(ch.space.n - 1))
 
 
 def fs_susp(a: dict, k: int, db) -> dict:
@@ -291,7 +282,7 @@ def flatten(e: E.Expr, db) -> dict:
             raise UnknownGenerator(f"undeclared generator {e.name!r}")
         if decl.target.is_sphere and decl.source_dim == decl.target.n:
             return {identity_chain(decl.source_dim): 1}
-        atom = _gen_atom(db, e.name)
+        atom = GenAtom(e.name, 0, decl)
         return {Chain((atom,), atom.dom, atom.space): 1}
     if isinstance(e, E.Compose):
         factors = E.compose_factors(e)
@@ -327,9 +318,7 @@ def flatten(e: E.Expr, db) -> dict:
 
 def atom_to_expr(a) -> E.Expr:
     if isinstance(a, GenAtom):
-        return E.gen(a.name)
-    if isinstance(a, SuspAtom):
-        return E.Susp(a.k, E.gen(a.base.name))
+        return E.Susp(a.k, E.gen(a.name)) if a.k else E.gen(a.name)
     if isinstance(a, BracketAtom):
         return E.Bracket(unflatten(dict(a.left)), unflatten(dict(a.right)))
     raise TypeError(a)
@@ -452,14 +441,17 @@ def _annihilator_moduli(ch: Chain, db) -> list:
         fact = db.order_fact(ch.suffix(j))
         if fact is not None:
             moduli.append(fact)
-    # across an all-suspension tail the scalar also moves onto a prefix
-    for i in range(1, n):
-        if all(a.is_susp for a in atoms[i:]):
-            if i == 1 and atoms[0].order:
-                moduli.append(atoms[0].order)
-            fact = db.order_fact(ch.prefix(i))
-            if fact is not None:
-                moduli.append(fact)
+    # across an all-suspension tail atoms[i:] the scalar also moves onto
+    # the prefix; one backward pass finds the longest such tail
+    tail = n
+    while tail > 1 and atoms[tail - 1].is_susp:
+        tail -= 1
+    for i in range(tail, n):
+        if i == 1 and atoms[0].order:
+            moduli.append(atoms[0].order)
+        fact = db.order_fact(ch.prefix(i))
+        if fact is not None:
+            moduli.append(fact)
     # table basis chains carry their table order
     hit = db.basis_lookup(ch)
     if hit is not None:
@@ -524,10 +516,11 @@ def _window_cod(ch: Chain, i: int) -> Space:
 def _apply_relations(fs: dict, db, trace, relation_order, reverse_scan) -> bool:
     relations = db.relations
     order = relation_order if relation_order is not None else range(len(relations))
+    chains = sorted(fs, key=Chain.key)  # fs is unchanged until a rule fires
     for ridx in order:
         rel = relations[ridx]
         m = len(rel.lhs_chain.atoms)
-        for ch in sorted(fs, key=Chain.key):
+        for ch in chains:
             n = len(ch.atoms)
             if n < m:
                 continue
@@ -635,14 +628,11 @@ def _susp_ast(e: E.Expr, k: int, db) -> E.Expr:
         decl = db.decl(e.name)
         if decl.target.is_sphere and decl.source_dim == decl.target.n:
             return E.gen(f"iota_{decl.source_dim + k}")
-        name = e.name
-        for _ in range(k):
-            nxt = db.susp_name(name)
-            if nxt is None:
-                raise NoSuspensionFamily(
-                    f"{name!r} has no declared suspension")
-            name = nxt
-        return E.gen(name)
+        atom = susp_atom(GenAtom(e.name, 0, decl), k, db)
+        if atom.k:
+            raise NoSuspensionFamily(
+                f"{atom.name!r} has no declared suspension")
+        return E.gen(atom.name)
     if isinstance(e, E.Compose):
         return E.Compose(_susp_ast(e.f, k, db), _susp_ast(e.g, k, db))
     if isinstance(e, E.Susp):

@@ -233,23 +233,13 @@ def _split_options(ch: R.Chain, db):
     if ch.atoms:
         tail = ch.suffix(1)
         if tail.is_suspension_class:
-            des = _desusp_chain(tail, db)
+            des = R.desusp_chain(tail, db)
             if des is not None:
                 opts.append((ch.prefix(1), des))
-    des_all = _desusp_chain(ch, db)
+    des_all = R.desusp_chain(ch, db)
     if des_all is not None:
         opts.append((R.identity_chain(ch.space.n), des_all))
     return opts
-
-
-def _desusp_chain(ch: R.Chain, db) -> Optional[R.Chain]:
-    atoms = []
-    for a in ch.atoms:
-        d = R.desusp_atom(a, db)
-        if d is None:
-            return None
-        atoms.append(d)
-    return R.Chain(tuple(atoms), ch.dom - 1, sphere(ch.space.n - 1))
 
 
 def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]:

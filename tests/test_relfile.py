@@ -36,6 +36,16 @@ def test_family_members_synthesize_on_demand():
     assert db.desusp_name("eta_2") is None
 
 
+def test_explicit_family_member_keeps_its_suspension_link():
+    from whiteprod.parser import parse
+    from whiteprod.rewrite import normalize
+    db = load_relations_text(PRELUDE + "gen eta_3 dom=4 cod=S3 order=2\n")
+    assert db.susp_name("eta_2") == "eta_3"
+    assert db.desusp_name("eta_3") == "eta_2"
+    # the right factor is a suspension, so the scalar crosses it
+    assert normalize(parse("(2 iota_3) . S eta_2"), db).is_zero
+
+
 def test_comments_and_blank_lines_ignored():
     db = load_relations_text("# comment\n\n" + PRELUDE + "\n# done\n")
     assert db.table(sphere(4), 5) is not None
@@ -96,6 +106,8 @@ GOLDEN_ERRORS = [
     ("rel [[2 iota_4, iota_4], iota_4] = 0", "bracket of composite arguments"),
     ("orderfact [iota_4 + iota_4, iota_4] = 2", "bracket of composite arguments"),
     ("group S4 k=7 = Z{[2 iota_4, iota_4]}", "bracket of composite arguments"),
+    ("gen eta_3 dom=4 cod=S3 order=2 susp_of=iota_2",
+     "family member 'eta_3' is the suspension of 'eta_2', not of 'iota_2'"),
 ]
 
 

@@ -129,6 +129,16 @@ def test_suspend_named_class(db):
         R.suspend(parse("Seps'"), 1, db)
 
 
+def test_symbolic_suspension_has_one_spelling(db):
+    # past Ssigma' no name is left: S (S x) and S^2 x are one atom
+    assert norm(db, "S (S Ssigma')") == norm(db, "S^2 Ssigma'")
+
+
+def test_suspend_names_the_class_where_stepping_stops(db):
+    with pytest.raises(NoSuspensionFamily, match="Snu'"):
+        R.suspend(parse("nu'"), 2, db)
+
+
 def test_suspend_needs_sphere_target(db):
     with pytest.raises(DegreeMismatch):
         R.suspend(parse("gamma_2R"), 1, db)

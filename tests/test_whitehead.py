@@ -456,3 +456,15 @@ def test_bracket_depth_limit_raises_a_named_error(db, monkeypatch):
     with pytest.raises(DepthLimitExceeded, match="depth limit of 6"):
         W.evaluate(parse("[" * 8 + "iota_4" + ", iota_4]" * 8), db)
     assert W.evaluate(parse("[[iota_4, iota_4], iota_4]"), db).is_zero
+
+
+@pytest.mark.parametrize("text,shown", [
+    ("S Ssigma' + sigma_9", "sigma_9 + S Ssigma'"),
+    # stepping stops at the last name, so both spellings become one atom
+    ("3 S^2 Ssigma' - S^3 sigma' + 2 sigma_10", "2 sigma_10 + 2 S^2 Ssigma'"),
+    # the smash split desuspends a symbolic suspension
+    ("[S Ssigma', iota_9]", "[iota_9, iota_9] . S^9 Ssigma'"),
+])
+def test_symbolic_suspensions_in_residues(db, text, shown):
+    nf = W.evaluate(parse(text), db)
+    assert not nf.is_resolved and nf.display() == shown
