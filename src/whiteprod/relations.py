@@ -70,6 +70,7 @@ class RelationDB:
         self._decls: dict[str, GeneratorDecl] = {}
         self._families: dict[str, Family] = {}
         self._synth: dict[str, GeneratorDecl] = {}
+        self._members: dict[str, Optional[tuple]] = {}  # see _family_index
         self._susp_links: dict[str, str] = {}  # name -> name of its suspension
         self.tables: dict[TableKey, GroupTable] = {}
         self._basis: dict[TableKey, list] = {}
@@ -77,6 +78,7 @@ class RelationDB:
         self.relations: list[Relation] = []
         self._rel_index: dict = {}
         self._fact_index: dict = {}
+        self.fact_lengths: tuple = ()  # ascending atom counts of fact chains
         self.hopf0: dict[str, E.Expr] = {}
 
     # -- generator declarations -------------------------------------------
@@ -95,15 +97,33 @@ class RelationDB:
         if fam.name in self._families:
             raise RelationsFileError(f"duplicate family {fam.name!r}")
         self._families[fam.name] = fam
+        self._members.clear()
+
+    def _family_index(self, name: str) -> Optional[tuple]:
+        """(family, sphere index) of a family member at or above its base,
+        else None.  The answer is kept only for family members and
+        declared names, so each of those is parsed once and the memo grows
+        no faster than the synthesized declarations."""
+        if name in self._members:
+            return self._members[name]
+        fam_name, idx, style = split_name(name)
+        fam = self._families.get(fam_name)
+        hit = None
+        if fam is not None and idx is not None and style == fam.style \
+                and idx >= fam.base:
+            hit = fam, idx
+        if hit is not None or name in self._decls:
+            self._members[name] = hit
+        return hit
 
     def _family_member(self, name: str) -> Optional[tuple]:
         """(family, sphere index, the member below) for a family member
         above its base: the suspension of that member below."""
-        fam_name, idx, style = split_name(name)
-        fam = self._families.get(fam_name)
-        if fam is None or idx is None or style != fam.style or idx <= fam.base:
+        hit = self._family_index(name)
+        if hit is None or hit[1] == hit[0].base:
             return None
-        return fam, idx, join_name(fam_name, idx - 1, style)
+        fam, idx = hit
+        return fam, idx, join_name(fam.name, idx - 1, fam.style)
 
     def decl(self, name: str) -> Optional[GeneratorDecl]:
         if name in self._decls:
@@ -121,14 +141,26 @@ class RelationDB:
         return decl
 
     def susp_name(self, name: str) -> Optional[str]:
-        if name in self._susp_links:
-            return self._susp_links[name]
-        fam_name, idx, style = split_name(name)
-        fam = self._families.get(fam_name)
-        if fam is not None and idx is not None and style == fam.style \
-                and idx >= fam.base:
-            return join_name(fam_name, idx + 1, style)
-        return None
+        """The class one suspension above ``name``, or None."""
+        above, left = self.susp_steps(name, 1)
+        return None if left else above
+
+    def susp_steps(self, name: str, k: int) -> tuple:
+        """Sigma^k of ``name`` as (the highest named class reached, the
+        steps left past it).  Explicit ``susp_of`` links are followed one
+        step at a time; a family member at or above its base jumps k
+        steps at once (the loader keeps links out of families, so the two
+        agree)."""
+        while k:
+            hit = self._family_index(name)
+            if hit is not None:
+                fam, idx = hit
+                return join_name(fam.name, idx + k, fam.style), 0
+            above = self._susp_links.get(name)
+            if above is None:
+                break
+            name, k = above, k - 1
+        return name, k
 
     def desusp_name(self, name: str) -> Optional[str]:
         d = self.decl(name)
@@ -184,6 +216,8 @@ class RelationDB:
                 f"the {hit[0].key} table")
         if prior is None:
             self._fact_index[fact.chain] = fact
+            self.fact_lengths = tuple(sorted(
+                {*self.fact_lengths, len(fact.chain.atoms)}))
 
     def order_fact(self, chain) -> Optional[int]:
         fact = self._fact_index.get(chain)
@@ -395,6 +429,12 @@ def _susp_link(db: RelationDB, ln: _Line):
             below.target.n != decl.target.n - 1:
         raise RelationsFileError(
             f"{decl.name!r} is not one suspension above {below.name!r}")
+    hit = db._family_index(below.name)
+    if member is None and hit is not None:
+        fam, idx = hit
+        raise RelationsFileError(
+            f"{decl.name!r}: susp_of names family member {below.name!r}, "
+            f"whose suspension is {join_name(fam.name, idx + 1, fam.style)!r}")
 
 
 def _group(db: RelationDB, ln: _Line):

@@ -17,6 +17,22 @@ the formal sum to a fixed point:
              (a relation at S^n applies at S^(n+k) with every generator
              stepped along its family).
 
+Each phase costs O(n) for a formal sum of n atoms in all, the database
+(its relations, their lengths, its susp_of links) held fixed:
+
+  flatten    a composition folds left to right; while the product is a
+             single term it gathers its atoms in one list and builds its
+             chain once (a product of sums folds pairwise); x^k expands
+             to x . S^d x . ... . S^((k-1)d) x, where Sigma^j of a family
+             member jumps j spheres at once, so each factor costs O(x);
+             only explicit susp_of links are walked step by step;
+  resolve    one basis lookup per chain; a chain hashes its atoms once
+             and keeps the hash;
+  reduce     per chain, the last factor's and the basis order and one
+             order-fact probe per chain length that holds order facts;
+  rewrite    per relation and window, one O(lhs) suspension of the lhs and
+             one comparison; a substitution rebuilds one chain.
+
 The linearity discipline follows the composition calculus for homotopy
 classes: a fixed left factor is linear in the right factor, while sums
 and scalar multiples may cross a right factor only when that factor is a
@@ -104,11 +120,19 @@ class BracketAtom:
 
 @dataclass(frozen=True)
 class Chain:
-    """A composition f1 . f2 . ... . fk; empty = the identity of S^dom."""
+    """A composition f1 . f2 . ... . fk; empty = the identity of S^dom.
+    Its hash walks the atoms once, on first use, and is kept."""
 
     atoms: tuple
     dom: int
     space: Space
+    _hash = None  # not a field: the first __hash__ stores it on the instance
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.atoms, self.dom, self.space)))
+        return self._hash
 
     def key(self):
         """The canonical sort order of chains (equality is the dataclass's)."""
@@ -123,9 +147,7 @@ class Chain:
         return E.Signature(self.dom, self.space)
 
     def compose(self, other: "Chain") -> "Chain":
-        if not other.space.is_sphere or other.space.n != self.dom:
-            raise DegreeMismatch(
-                f"chain composition mismatch: {self.dom} vs {other.space}")
+        _check_composable(self.dom, other.space)
         return Chain(self.atoms + other.atoms, other.dom, self.space)
 
     def prefix(self, i: int) -> "Chain":
@@ -135,6 +157,12 @@ class Chain:
     def suffix(self, i: int) -> "Chain":
         space = sphere(self.atoms[i - 1].dom) if i else self.space
         return Chain(self.atoms[i:], self.dom, space)
+
+
+def _check_composable(dom: int, space: Space):
+    """A chain from S^dom composes with a chain into ``space``."""
+    if not space.is_sphere or space.n != dom:
+        raise DegreeMismatch(f"chain composition mismatch: {dom} vs {space}")
 
 
 def identity_chain(n: int) -> Chain:
@@ -177,12 +205,17 @@ def fs_scale(a: dict, n: int) -> dict:
     return {ch: n * c for ch, c in a.items()}
 
 
+def _licensed(unit_left: bool, b: dict) -> bool:
+    """The linearity rule: a left factor composes with ``b`` when it is one
+    chain with coefficient 1, or when every chain of ``b`` is a suspension."""
+    return unit_left or all(ch.is_suspension_class for ch in b)
+
+
 def fs_compose(a: dict, b: dict) -> Optional[dict]:
     """Compose two formal sums; None when linearity does not license it."""
     if not a or not b:
         return {}
-    unit_left = len(a) == 1 and next(iter(a.values())) == 1
-    if not unit_left and not all(ch.is_suspension_class for ch in b):
+    if not _licensed(len(a) == 1 and next(iter(a.values())) == 1, b):
         return None
     out: dict = {}
     for u, c in a.items():
@@ -194,6 +227,34 @@ def fs_compose(a: dict, b: dict) -> Optional[dict]:
     return out
 
 
+def fs_compose_all(factors) -> Optional[dict]:
+    """``fs_compose`` folded left to right over an iterable of formal sums,
+    read one at a time; None as soon as linearity blocks a step.  While
+    the product is a single term its atoms are gathered in one list, so
+    its chain is built and hashed once, not once per prefix."""
+    it = iter(factors)
+    out = next(it)
+    atoms = None  # a single-term product's atoms, with dom, coeff and space
+    for b in it:
+        if atoms is None and len(out) == 1 and len(b) == 1:
+            (u, c), = out.items()
+            atoms, dom, coeff, space = list(u.atoms), u.dom, c, u.space
+        if atoms is not None:
+            if len(b) == 1 and _licensed(coeff == 1, b):
+                (v, d), = b.items()
+                _check_composable(dom, v.space)
+                atoms.extend(v.atoms)
+                dom, coeff = v.dom, coeff * d
+                continue
+            out, atoms = {Chain(tuple(atoms), dom, space): coeff}, None
+        out = fs_compose(out, b)
+        if out is None:
+            return None
+    if atoms is not None:
+        out = {Chain(tuple(atoms), dom, space): coeff}
+    return out
+
+
 def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
     """``ch`` with atoms i..j-1 replaced by ``fs``; None when linearity blocks."""
     mid = fs if i == 0 else fs_compose({ch.prefix(i): 1}, fs)
@@ -202,18 +263,12 @@ def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
 
 def susp_atom(atom, k: int, db):
     """Sigma^k of an atom; None kills the term (brackets suspend to zero).
-    A name steps along its family; past its last name only ``k`` grows."""
+    A name moves up its family; past its last name only ``k`` grows."""
     if isinstance(atom, BracketAtom):
         return None
     if atom.k:
         return GenAtom(atom.name, atom.k + k, atom.decl)
-    name = atom.name
-    for step in range(k):
-        nxt = db.susp_name(name)
-        if nxt is None:
-            return _gen_atom(db, name, k - step)
-        name = nxt
-    return _gen_atom(db, name)
+    return _gen_atom(db, *db.susp_steps(atom.name, k))
 
 
 def desusp_atom(atom, db):
@@ -285,12 +340,9 @@ def flatten(e: E.Expr, db) -> dict:
         atom = GenAtom(e.name, 0, decl)
         return {Chain((atom,), atom.dom, atom.space): 1}
     if isinstance(e, E.Compose):
-        factors = E.compose_factors(e)
-        out = flatten(factors[0], db)
-        for g in factors[1:]:
-            out = fs_compose(out, flatten(g, db))
-            if out is None:
-                raise Blocked(LINEARITY)
+        out = fs_compose_all(flatten(g, db) for g in E.compose_factors(e))
+        if out is None:
+            raise Blocked(LINEARITY)
         return out
     if isinstance(e, E.Susp):
         return fs_susp(flatten(e.e, db), e.count, db)
@@ -437,21 +489,26 @@ def _annihilator_moduli(ch: Chain, db) -> list:
     last = atoms[-1]
     if last.order:
         moduli.append(last.order)
-    for j in range(n):
-        fact = db.order_fact(ch.suffix(j))
-        if fact is not None:
-            moduli.append(fact)
+    # (only the chain lengths that carry order facts are probed, longest
+    # suffix first and shortest prefix first, the order of a full scan)
+    lengths = db.fact_lengths
+    for size in reversed(lengths):
+        if 0 < size <= n:
+            fact = db.order_fact(ch.suffix(n - size))
+            if fact is not None:
+                moduli.append(fact)
     # across an all-suspension tail atoms[i:] the scalar also moves onto
     # the prefix; one backward pass finds the longest such tail
     tail = n
     while tail > 1 and atoms[tail - 1].is_susp:
         tail -= 1
-    for i in range(tail, n):
-        if i == 1 and atoms[0].order:
-            moduli.append(atoms[0].order)
-        fact = db.order_fact(ch.prefix(i))
-        if fact is not None:
-            moduli.append(fact)
+    if tail == 1 < n and atoms[0].order:
+        moduli.append(atoms[0].order)
+    for size in lengths:
+        if tail <= size < n:
+            fact = db.order_fact(ch.prefix(size))
+            if fact is not None:
+                moduli.append(fact)
     # table basis chains carry their table order
     hit = db.basis_lookup(ch)
     if hit is not None:

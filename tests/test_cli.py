@@ -41,6 +41,13 @@ def test_eval_long_composition(capsys):
     assert code == 0 and out.strip() == "iota_4"
 
 
+def test_eval_long_power(capsys):
+    # each factor S^(j d) eta_4 jumps along the family in one step, so ten
+    # thousand factors answer in well under a second
+    code, out, _ = run(capsys, "eval", "eta_4^10000")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_eval_trace_cites_relations(capsys):
     code, out, _ = run(capsys, "eval", "[eta_4, eta_4^2]", "--trace")
     assert code == 0

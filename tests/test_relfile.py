@@ -108,6 +108,8 @@ GOLDEN_ERRORS = [
     ("group S4 k=7 = Z{[2 iota_4, iota_4]}", "bracket of composite arguments"),
     ("gen eta_3 dom=4 cod=S3 order=2 susp_of=iota_2",
      "family member 'eta_3' is the suspension of 'eta_2', not of 'iota_2'"),
+    ("gen X dom=9 cod=S8 order=2 susp_of=eta_7",
+     "susp_of names family member 'eta_7', whose suspension is 'eta_8'"),
 ]
 
 

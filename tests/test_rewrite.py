@@ -1,5 +1,6 @@
 """The rewrite engine: normalization, suspension, smash, linearity rules."""
 
+import math
 import random
 
 import pytest
@@ -215,3 +216,141 @@ def test_confluence_under_rule_order(db, text):
         other = R.normalize(e, db, relation_order=order,
                             reverse_scan=rng.random() < 0.5)
         assert other == baseline, f"rule order changed the result for {text}"
+
+
+# ---------------------------------------------------------------------------
+# cost of long compositions
+
+def _shipped_db():
+    from importlib import resources
+    from whiteprod.relations import load_relations_text
+    text = resources.files("whiteprod").joinpath(
+        "data/toda-core.rel").read_text(encoding="utf-8")
+    return load_relations_text(text, "toda-core.rel")
+
+
+def test_long_powers_grow_linearly(monkeypatch):
+    """Normalizing eta_4^k probes order facts about linearly in k, and
+    parses each generator name at most once per database."""
+    from whiteprod import relations
+    parsed, probes = [], []
+    split_name, order_fact = relations.split_name, relations.RelationDB.order_fact
+
+    def counting_split(name):
+        parsed.append(name)
+        return split_name(name)
+
+    def counting_order_fact(self, chain):
+        probes.append(chain)
+        return order_fact(self, chain)
+
+    monkeypatch.setattr(relations, "split_name", counting_split)
+    monkeypatch.setattr(relations.RelationDB, "order_fact", counting_order_fact)
+    db = _shipped_db()
+    counts = []
+    for k in (200, 400):
+        probes.clear()
+        assert R.normalize(parse(f"eta_4^{k}"), db).is_zero
+        counts.append(len(probes))
+    assert counts[1] <= 2.2 * counts[0]
+    assert len(parsed) == len(set(parsed))
+
+
+# The composition fold against the pairwise fold it replaces.  Stem-0
+# atoms z_n (a suspension class) and w_n (not one) let one product arise
+# from two different splits, so terms can cancel.
+
+def _stem0(name: str, n: int, susp: bool):
+    from whiteprod.groups import GeneratorDecl
+    decl = GeneratorDecl(name=f"{name}_{n}", source_dim=n, target=sphere(n),
+                         order=0, suspension_of=f"{name}_{n - 1}" if susp else None)
+    return R.GenAtom(decl.name, 0, decl)
+
+
+def _random_chain(rng, db, n: int, stem: int) -> R.Chain:
+    """A chain S^(n+stem) -> S^n: ``stem`` eta atoms, stem-0 atoms between."""
+    atoms = []
+    for cur in range(n, n + stem + 1):
+        while rng.random() < 0.3:
+            kind = rng.choice("zw")
+            atoms.append(_stem0(kind, cur, kind == "z"))
+        if cur < n + stem:
+            atoms.append(R._gen_atom(db, f"eta_{cur}"))
+    return R.Chain(tuple(atoms), n + stem, sphere(n))
+
+
+def _random_factors(rng, db) -> list:
+    factors, n = [], rng.randint(5, 7)
+    for _ in range(rng.randint(2, 6)):
+        stem = rng.randint(0, 2)
+        fs = {}
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            fs[_random_chain(rng, db, n, stem)] = rng.choice([1, 1, 1, -1, 2, -3])
+        if rng.random() < 0.05:
+            n += 1  # the next factor lands one sphere off: a degree mismatch
+        factors.append(fs)
+        n += stem
+    return factors
+
+
+def _pairwise_fold(factors):
+    out = factors[0]
+    for b in factors[1:]:
+        out = R.fs_compose(out, b)
+        if out is None:
+            return None
+    return out
+
+
+def _outcome(fold, factors):
+    try:
+        out = fold(factors)
+    except DegreeMismatch as exc:
+        return ("error", str(exc))
+    return ("none",) if out is None else ("sum", list(out.items()))
+
+
+def test_composition_fold_matches_pairwise_fold(db):
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(1500):
+        factors = _random_factors(rng, db)
+        want = _outcome(_pairwise_fold, factors)
+        assert _outcome(R.fs_compose_all, factors) == want
+        seen.add(want[0])
+        if want[0] == "sum" and len(want[1]) < math.prod(map(len, factors)):
+            seen.add("cancelled")
+    assert seen == {"none", "error", "sum", "cancelled"}
+
+
+def test_composition_fold_fixed_cases(db):
+    def fl(text):
+        return R.flatten(parse(text), db)
+
+    # a non-unit left sum cannot cross a non-suspension right factor
+    for factors in ([fl("nu_4 + Snu'"), fl("sigma'")],
+                    [fl("2 eta_4"), fl("eta_5"), fl("sigma'")]):
+        assert R.fs_compose_all(factors) is None
+        assert _pairwise_fold(factors) is None
+    # a degree mismatch gives the pairwise fold's message
+    for factors in ([fl("eta_4"), fl("eta_6")],
+                    [fl("eta_4"), fl("eta_5"), fl("nu_4 + Snu'")]):
+        with pytest.raises(DegreeMismatch) as new:
+            R.fs_compose_all(factors)
+        with pytest.raises(DegreeMismatch) as old:
+            _pairwise_fold(factors)
+        assert str(new.value) == str(old.value)
+
+
+def test_equal_chains_hash_equal(db):
+    (long,) = R.flatten(parse("eta_3 . eta_4 . eta_5 . eta_6"), db)
+    hash(long)  # cache the long chain's hash before slicing it
+    (direct,) = R.flatten(parse("eta_4 . eta_5 . eta_6"), db)
+    (head,), (rest,) = (R.flatten(parse(t), db) for t in ("eta_4", "eta_5 . eta_6"))
+    (low,) = R.flatten(parse("eta_3 . eta_4 . eta_5"), db)
+    (power,) = R.flatten(parse("eta_4^5"), db)
+    built = [long.suffix(1), head.compose(rest), R.susp_chain(low, 1, db),
+             power.prefix(3)]
+    for ch in built:
+        assert ch == direct and hash(ch) == hash(direct)
+        assert {direct: 1}[ch] == 1
