@@ -40,13 +40,18 @@ suspension class.  Compositions blocked by that rule come back as a
 Residue, never as a silently wrong answer.  A residue is kept as its
 formal sum and rendered as an expression only when shown; chains, being
 frozen values, are their own dictionary keys.
+
+Trace rendering costs nothing until a trace is read: a ``TraceStep``
+stores the chains, formal sums and integers its rule acted on, and a
+residue stores a reason code and its arguments; both render through
+``show`` (and so through ``render``) only when their text is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args
 
 from . import expr as E
 from .errors import (DegreeMismatch, NoSuspensionFamily, NotASuspension,
@@ -179,15 +184,27 @@ def bracket_chain(left: dict, right: dict) -> Chain:
 # ---------------------------------------------------------------------------
 # formal sums  {Chain: coeff}
 
-LINEARITY = "sum or multiple cannot cross a non-suspension right factor"
+# why a form stays a residue: a stable code and its message, whose slots
+# the residue's arguments fill when the message is read
+REASONS = {
+    "no-resolution": "no table or relation resolves the remaining chains",
+    "blocked-linearity":
+        "sum or multiple cannot cross a non-suspension right factor",
+    "higher-product":
+        "higher products are set-valued; use the product operations",
+    "bracket-args": "bracket arguments do not normalize to chains",
+    "no-rule": "no rule applies to [{}, {}]",
+}
 
 
 class Blocked(Exception):
-    """Raised when flattening hits a non-distributable composition."""
+    """Raised when flattening hits a non-distributable composition;
+    ``code`` is a key of REASONS."""
 
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
+    def __init__(self, code: str):
+        self.code = code
+        self.reason = REASONS[code]
+        super().__init__(self.reason)
 
 
 def fs_add(a: dict, b: dict) -> dict:
@@ -342,7 +359,7 @@ def flatten(e: E.Expr, db) -> dict:
     if isinstance(e, E.Compose):
         out = fs_compose_all(flatten(g, db) for g in E.compose_factors(e))
         if out is None:
-            raise Blocked(LINEARITY)
+            raise Blocked("blocked-linearity")
         return out
     if isinstance(e, E.Susp):
         return fs_susp(flatten(e.e, db), e.count, db)
@@ -359,7 +376,7 @@ def flatten(e: E.Expr, db) -> dict:
             return {}  # a bracket with a constant factor is trivial
         return {bracket_chain(fl, fr): 1}
     if isinstance(e, E.HigherBracket):
-        raise Blocked("higher products are set-valued; use the product operations")
+        raise Blocked("higher-product")
     if isinstance(e, E.Power):
         return flatten(E.expand_powers(e, db), db)
     raise TypeError(f"not an expression: {e!r}")
@@ -397,16 +414,52 @@ def render(fs: dict) -> str:
     return E.format_expr(unflatten(fs))
 
 
+_EXPR_TYPES = get_args(E.Expr)
+
+
+def show(x) -> str:
+    """The one renderer of trace and reason data: a template ``(fmt, *args)``
+    fills ``fmt`` with its shown arguments, a chain or formal sum renders
+    through ``render``, an expression formats, anything else prints as is."""
+    if type(x) is tuple:
+        return x[0].format(*map(show, x[1:]))
+    if isinstance(x, Chain):
+        x = {x: 1}
+    if isinstance(x, dict):
+        return render(x)
+    if isinstance(x, _EXPR_TYPES):
+        return E.format_expr(x)
+    return str(x)
+
+
 # ---------------------------------------------------------------------------
 # normal forms and traces
 
 @dataclass
 class TraceStep:
+    """One rewrite or bracket-rule step, kept as data and rendered when
+    read: ``detail``, ``before`` and ``after`` render their stored values
+    (strings, chains, formal sums, expressions, the rule's integers, or
+    templates over them) through ``show``.  The engine never changes a
+    value after it is stored in a step."""
+
     rule: str
-    detail: str
-    before: str
-    after: str
+    _detail: object
+    _before: object
+    _after: object
     provenance: str = ""
+
+    @property
+    def detail(self) -> str:
+        return show(self._detail)
+
+    @property
+    def before(self) -> str:
+        return show(self._before)
+
+    @property
+    def after(self) -> str:
+        return show(self._after)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "detail": self.detail,
@@ -420,13 +473,16 @@ class NormalForm:
     is None only when its signature has no table.  A residue keeps its
     formal sum ``fs`` and renders ``expr`` from it when read; only a
     residue whose flattening was blocked (``fs`` None) stores the input
-    expression, its one form."""
+    expression, its one form.  A residue's ``reason`` renders, when read,
+    the message of its ``reason_code`` (a key of REASONS) filled with its
+    ``reason_args``."""
 
     status: str  # "resolved" | "residue"
     signature: Optional[E.Signature]
     element: Optional[GroupElement] = None
     _expr: Optional[E.Expr] = None
-    reason: Optional[str] = field(default=None, compare=False)
+    reason_code: Optional[str] = field(default=None, compare=False)
+    reason_args: tuple = field(default=(), compare=False)
     trace: list = field(default_factory=list, compare=False)
     fs: Optional[dict] = None
 
@@ -437,6 +493,12 @@ class NormalForm:
     @property
     def is_zero(self) -> bool:
         return self.is_resolved and not self.fs
+
+    @property
+    def reason(self) -> Optional[str]:
+        if self.reason_code is None:
+            return None
+        return show((REASONS[self.reason_code], *self.reason_args))
 
     @property
     def expr(self) -> Optional[E.Expr]:
@@ -459,12 +521,14 @@ class NormalForm:
                 out["element"] = self.element.to_json()
         else:
             out["reason"] = self.reason
+            out["reason_code"] = self.reason_code
         return out
 
 
-def residue(fs: dict, sig: Optional[E.Signature], reason: str,
-            trace: list) -> NormalForm:
-    return NormalForm("residue", sig, reason=reason, trace=trace, fs=fs)
+def residue(fs: dict, sig: Optional[E.Signature], code: str, trace: list,
+            *args) -> NormalForm:
+    return NormalForm("residue", sig, reason_code=code, reason_args=args,
+                      trace=trace, fs=fs)
 
 
 def zero_form(sig: Optional[E.Signature], db, trace: list) -> NormalForm:
@@ -553,15 +617,14 @@ def _reduce_coefficients(fs: dict, db, trace) -> bool:
             continue
         c2 = c % g
         if c2 != c:
-            before = render({ch: c})
             if c2:
                 fs[ch] = c2
             else:
                 del fs[ch]
             trace.append(TraceStep(
                 "order-reduce",
-                f"coefficient {c} = {c2} (mod {g}) on {render({ch: 1})}",
-                before, render({ch: c2} if c2 else {})))
+                ("coefficient {} = {} (mod {}) on {}", c, c2, g, ch),
+                {ch: c}, {ch: c2} if c2 else {}))
             changed = True
     return changed
 
@@ -598,15 +661,16 @@ def _apply_relations(fs: dict, db, trace, relation_order, reverse_scan) -> bool:
                 if replaced is None:
                     continue
                 c = fs.pop(ch)
-                before = render({ch: c})
-                for w, d in fs_scale(replaced, c).items():
+                out = fs_scale(replaced, c)
+                for w, d in out.items():
                     fs[w] = fs.get(w, 0) + d
                     if fs[w] == 0:
                         del fs[w]
-                shift_note = f" (suspended {k} step{'s' if k != 1 else ''})" if k else ""
-                trace.append(TraceStep(
-                    "relation", f"{rel.name}{shift_note}", before,
-                    render(fs_scale(replaced, c)), rel.provenance))
+                detail = rel.name if not k else (
+                    "{} (suspended {} step)" if k == 1 else
+                    "{} (suspended {} steps)", rel.name, k)
+                trace.append(TraceStep("relation", detail, {ch: c}, out,
+                                       rel.provenance))
                 return True
     return False
 
@@ -625,7 +689,7 @@ def normalize(e: E.Expr, db, *, sig_hint: Optional[E.Signature] = None,
         fs = flatten(e, db)
     except Blocked as b:
         return NormalForm("residue", sig, _expr=E.expand_powers(e, db),
-                          reason=b.reason, trace=trace)
+                          reason_code=b.code, trace=trace)
     return normalize_fs(fs, sig, db, relation_order=relation_order,
                         reverse_scan=reverse_scan, trace=trace)
 
@@ -647,18 +711,17 @@ def normalize_fs(fs: dict, sig: Optional[E.Signature], db, *,
                 f"no fixed point after {STEP_LIMIT} steps for {render(start)}")
         resolved = _try_resolve(fs, sig, db, trace)
         if resolved is not None:
-            if fs:
+            if fs:  # a snapshot: fs is the loop's working dict
                 trace.append(TraceStep(
-                    "resolve", f"element of {resolved.element.table.key}",
-                    render(fs), resolved.display()))
+                    "resolve", ("element of {}", resolved.element.table.key),
+                    dict(fs), resolved.element))
             return resolved
         if _reduce_coefficients(fs, db, trace):
             continue
         if _apply_relations(fs, db, trace, relation_order, reverse_scan):
             continue
         break
-    return residue(fs, sig, "no table or relation resolves the remaining chains",
-                   trace)
+    return residue(fs, sig, "no-resolution", trace)
 
 
 # ---------------------------------------------------------------------------

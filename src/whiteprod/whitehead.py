@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import expr as E
 from . import rewrite as R
@@ -46,10 +46,6 @@ def element_to_expr(elt: GroupElement, db) -> E.Expr:
         if c:
             fs[ch] = c
     return R.unflatten(fs)
-
-
-def _chain_label(ch: R.Chain) -> str:
-    return R.render({ch: 1})
 
 
 def evaluate(e: E.Expr, db, *, sig_hint=None,
@@ -84,12 +80,13 @@ def _expand_brackets(nf: R.NormalForm, db, trace, depth) -> R.NormalForm:
                                       trace=trace, _depth=depth + 2)
                           for arg in (atom.left, atom.right))
             value = _bracket_nf(nf_f, nf_g, single.signature, db, trace,
-                                depth + 1, lambda: R.render({single: 1})).fs
+                                depth + 1, single).fs
             if value == {single: 1}:
                 continue
             out = R.splice(ch, i, i + 1, value)
             if out is None:
-                return R.residue(nf.fs, nf.signature, R.LINEARITY, trace)
+                return R.residue(nf.fs, nf.signature, "blocked-linearity",
+                                 trace)
             rest = {w: c for w, c in nf.fs.items() if w != ch}
             fs = R.fs_add(rest, R.fs_scale(out, nf.fs[ch]))
             return evaluate_fs(fs, nf.signature, db, trace=trace,
@@ -116,19 +113,18 @@ def bracket(f: E.Expr, g: E.Expr, db, *,
     if not (nf_f.is_zero or nf_g.is_zero) and (nf_f.fs is None or nf_g.fs is None):
         return R.NormalForm(
             "residue", sig, _expr=E.Bracket(f, g),
-            reason="bracket arguments do not normalize to chains",
-            trace=trace)
-    return _bracket_nf(nf_f, nf_g, sig, db, trace, 0,
-                       lambda: f"[{E.format_expr(f)}, {E.format_expr(g)}]")
+            reason_code="bracket-args", trace=trace)
+    return _bracket_nf(nf_f, nf_g, sig, db, trace, 0, E.Bracket(f, g))
 
 
 def _bracket_nf(nf_f: R.NormalForm, nf_g: R.NormalForm,
                 sig: Optional[E.Signature], db, trace, depth,
-                shown: Callable[[], str]) -> R.NormalForm:
-    """[f, g] from its arguments' normal forms; ``shown`` renders the input."""
+                shown) -> R.NormalForm:
+    """[f, g] from its arguments' normal forms; ``shown`` is the input as
+    trace data (see ``rewrite.show``)."""
     if nf_f.is_zero or nf_g.is_zero:
         trace.append(R.TraceStep("zero-factor", "bracket with a trivial class",
-                                 shown(), "0"))
+                                 shown, "0"))
         return R.zero_form(sig, db, trace)
 
     total: dict = {}
@@ -136,10 +132,8 @@ def _bracket_nf(nf_f: R.NormalForm, nf_g: R.NormalForm,
         for v, d in nf_g.fs.items():
             term = _pair_bracket(c * d, u, v, db, trace)
             if term is None:
-                return R.residue(
-                    {R.bracket_chain(nf_f.fs, nf_g.fs): 1}, sig,
-                    f"no rule applies to [{_chain_label(u)}, {_chain_label(v)}]",
-                    trace)
+                return R.residue({R.bracket_chain(nf_f.fs, nf_g.fs): 1},
+                                 sig, "no-rule", trace, u, v)
             total = R.fs_add(total, term)
     return evaluate_fs(total, sig, db, trace=trace, _depth=depth + 1)
 
@@ -163,26 +157,24 @@ def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db,
         if k2 != k:
             if k2 == 0:
                 if ann_u and ann_v and gcd(ann_u, ann_v) == 1:
-                    detail = (f"coprime orders: gcd({ann_u}, {ann_v}) = 1 "
-                              f"kills [{_chain_label(u)}, {_chain_label(v)}]")
+                    detail = ("coprime orders: gcd({}, {}) = 1 kills [{}, {}]",
+                              ann_u, ann_v, u, v)
                     rule = "coprime"
                 else:
-                    why = (f"{g} annihilates a factor" if g and k % g == 0 else
-                           f"the exponent {exponent} of the target "
-                           f"{target.key} annihilates the bracket")
-                    detail = (f"[{_chain_label(u)}, {k} {_chain_label(v)}] = "
-                              f"[{k} {_chain_label(u)}, {_chain_label(v)}] = 0 "
-                              f"({why})")
+                    why = (("{} annihilates a factor", g)
+                           if g and k % g == 0 else
+                           ("the exponent {} of the target {} annihilates "
+                            "the bracket", exponent, target.key))
+                    detail = ("[{}, {} {}] = [{} {}, {}] = 0 ({})",
+                              u, k, v, k, u, v, why)
                     rule = "bilinearity"
-                trace.append(R.TraceStep(
-                    rule, detail,
-                    f"{k} [{_chain_label(u)}, {_chain_label(v)}]", "0"))
+                trace.append(R.TraceStep(rule, detail,
+                                         ("{} [{}, {}]", k, u, v), "0"))
                 return {}
             trace.append(R.TraceStep(
                 "bilinearity",
-                f"coefficient {k} = {k2} (mod {ge}) across the bracket",
-                f"{k} [{_chain_label(u)}, {_chain_label(v)}]",
-                f"{k2} [{_chain_label(u)}, {_chain_label(v)}]"))
+                ("coefficient {} = {} (mod {}) across the bracket", k, k2, ge),
+                ("{} [{}, {}]", k, u, v), ("{} [{}, {}]", k2, u, v)))
             k = k2
     if k == 0:
         return {}
@@ -200,10 +192,8 @@ def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db,
         u2, v2 = u.suffix(m), v.suffix(m)
         out = {head.compose(R.bracket_chain({u2: 1}, {v2: 1})): k}
         trace.append(R.TraceStep(
-            "naturality",
-            f"[{_chain_label(u)}, {_chain_label(v)}] = "
-            f"{_chain_label(head)} . [{_chain_label(u2)}, {_chain_label(v2)}]",
-            f"[{_chain_label(u)}, {_chain_label(v)}]", R.render(out)))
+            "naturality", ("[{}, {}] = {} . [{}, {}]", u, v, head, u2, v2),
+            ("[{}, {}]", u, v), out))
         return out
 
     return _smash_split(k, u, v, db, trace)
@@ -219,11 +209,10 @@ def _ground_bracket(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]
     if rel is None:
         return None
     out = R.fs_scale(rel.rhs_fs, k * sign)
-    note = "" if sign == 1 else f" (anticommutativity sign {sign})"
-    trace.append(R.TraceStep(
-        "relation", f"{rel.name}{note}",
-        f"{k} [{_chain_label(u)}, {_chain_label(v)}]",
-        R.render(out), rel.provenance))
+    detail = rel.name if sign == 1 else (
+        "{} (anticommutativity sign {})", rel.name, sign)
+    trace.append(R.TraceStep("relation", detail, ("{} [{}, {}]", k, u, v),
+                             out, rel.provenance))
     return out
 
 
@@ -268,11 +257,8 @@ def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]:
     out = R.fs_scale(R.fs_compose({R.bracket_chain({hu: 1}, {hv: 1}): 1},
                                   R.fs_susp(realized, 1, db)), k)
     trace.append(R.TraceStep(
-        "smash",
-        f"[{_chain_label(u)}, {_chain_label(v)}] = "
-        f"[{_chain_label(hu)}, {_chain_label(hv)}] . "
-        f"S({_chain_label(a)} ^ {_chain_label(b)})",
-        f"[{_chain_label(u)}, {_chain_label(v)}]", R.render(out)))
+        "smash", ("[{}, {}] = [{}, {}] . S({} ^ {})", u, v, hu, hv, a, b),
+        ("[{}, {}]", u, v), out))
     return out
 
 
@@ -429,7 +415,7 @@ def indeterminacy(spec: ProductSpec, db) -> Subgroup:
                     f"{sorted(t.primes)}; the order of factor {i + 1} does "
                     f"not license ignoring the rest")
         for ch in db.basis_chains(t.key):
-            shown = lambda: f"[{_chain_label(ch)}, {E.format_expr(f)}]"
+            shown = ("[{}, {}]", ch, f)
             if nf_f.fs is None:
                 nf = nf_f  # flattening the factor was blocked
             else:
@@ -437,7 +423,7 @@ def indeterminacy(spec: ProductSpec, db) -> Subgroup:
                 nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
             if not nf.is_resolved:
                 raise UndeterminedResult(
-                    f"{shown()} did not resolve: {nf.reason}")
+                    f"{R.show(shown)} did not resolve: {nf.reason}")
             gens.append(nf.element)
     return subgroup_generated(gens, out_table)
 
@@ -585,7 +571,7 @@ def whitehead_projective(f: E.Expr, h0f: Optional[E.Expr], n: int, k: int,
     out_sig = E.Signature(k, rp)
     if n % 2 == 1:
         trace.append(R.TraceStep("projective", "odd n: the product vanishes",
-                                 f"[gamma_{n}R . f, i_{n}R]", "0"))
+                                 ("[gamma_{}R . f, i_{}R]", n, n), "0"))
         return R.zero_form(out_sig, db, trace)
     if h0f is None:
         h0f = db.hopf0_value(f)
@@ -599,8 +585,9 @@ def whitehead_projective(f: E.Expr, h0f: Optional[E.Expr], n: int, k: int,
     expr = E.Scalar((-1) ** k, E.Compose(gamma, body))
     trace.append(R.TraceStep(
         "projective",
-        f"even n: (-1)^{k} gamma_{n}R . (-2 f + [iota_{n}, iota_{n}] . h0 f)",
-        f"[gamma_{n}R . {E.format_expr(f)}, i_{n}R]", E.format_expr(expr)))
+        ("even n: (-1)^{} gamma_{}R . (-2 f + [iota_{}, iota_{}] . h0 f)",
+         k, n, n, n),
+        ("[gamma_{}R . {}, i_{}R]", n, f, n), expr))
     return evaluate(expr, db, sig_hint=out_sig, trace=trace)
 
 
