@@ -35,6 +35,10 @@ from .groups import (GeneratorDecl, GroupTable, Space, TableGen, TableKey,
 from .names import join_name, split_name
 from .parser import parse
 
+# the root of every bracket atom: brackets do not suspend, so a bracket
+# relation matches only at its own sphere
+BRACKET_ROOT = "[,]"
+
 
 @dataclass(frozen=True)
 class Family:
@@ -71,12 +75,14 @@ class RelationDB:
         self._families: dict[str, Family] = {}
         self._synth: dict[str, GeneratorDecl] = {}
         self._members: dict[str, Optional[tuple]] = {}  # see _family_index
+        self._roots: dict[str, str] = {}  # see root
         self._susp_links: dict[str, str] = {}  # name -> name of its suspension
         self.tables: dict[TableKey, GroupTable] = {}
         self._basis: dict[TableKey, list] = {}
         self._basis_index: dict = {}
         self.relations: list[Relation] = []
         self._rel_index: dict = {}
+        self._heads: dict[str, list] = {}  # see relations_at
         self._fact_index: dict = {}
         self.fact_lengths: tuple = ()  # ascending atom counts of fact chains
         self.hopf0: dict[str, E.Expr] = {}
@@ -92,12 +98,14 @@ class RelationDB:
                 raise RelationsFileError(
                     f"two suspensions declared for {decl.suspension_of!r}")
             self._susp_links[decl.suspension_of] = decl.name
+        self._roots.clear()
 
     def add_family(self, fam: Family):
         if fam.name in self._families:
             raise RelationsFileError(f"duplicate family {fam.name!r}")
         self._families[fam.name] = fam
         self._members.clear()
+        self._roots.clear()
 
     def _family_index(self, name: str) -> Optional[tuple]:
         """(family, sphere index) of a family member at or above its base,
@@ -162,6 +170,34 @@ class RelationDB:
             name, k = above, k - 1
         return name, k
 
+    def root(self, name: str) -> str:
+        """The declared class at the bottom of ``name``'s family and
+        susp_of links (eta_7 -> eta_2, Snu' -> nu'), which every suspension
+        of ``name`` shares.  Kept, like ``_family_index``, only for
+        declared names and family members."""
+        hit = self._roots.get(name)
+        if hit is not None:
+            return hit
+        below = name
+        while True:
+            member = self._family_index(below)
+            if member is not None:
+                fam = member[0]
+                below = join_name(fam.name, fam.base, fam.style)
+            decl = self.decl(below)
+            if decl is None or decl.suspension_of is None:
+                break
+            below = decl.suspension_of
+        if self.decl(name) is not None:
+            self._roots[name] = below
+        return below
+
+    def head_root(self, atom) -> str:
+        """The root of an atom: its generator's, or BRACKET_ROOT."""
+        if isinstance(atom, R.BracketAtom):
+            return BRACKET_ROOT
+        return self.root(atom.name)
+
     def desusp_name(self, name: str) -> Optional[str]:
         d = self.decl(name)
         if d is not None and d.suspension_of is not None:
@@ -194,12 +230,22 @@ class RelationDB:
     # -- relations and facts ------------------------------------------------
 
     def add_relation(self, rel: Relation):
+        if not rel.lhs_chain.atoms:
+            raise RelationsFileError("rel lhs cannot be an identity")
         prior = self._rel_index.get(rel.lhs_chain)
         if prior is not None:
             raise ConflictingRelations(
                 f"lhs {E.format_expr(rel.lhs)!r} already rewritten by {prior.name}")
         self._rel_index[rel.lhs_chain] = rel
+        root = self.head_root(rel.lhs_chain.atoms[0])
+        self._heads.setdefault(root, []).append((len(self.relations), rel))
         self.relations.append(rel)
+
+    def relations_at(self, root: str) -> list:
+        """(index in ``relations``, relation) of those whose lhs head has
+        ``root``, by index: the only relations that can match a window
+        starting at an atom with that root."""
+        return self._heads.get(root, [])
 
     def bracket_relation(self, left, right) -> Optional[Relation]:
         return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}))

@@ -18,7 +18,9 @@ the formal sum to a fixed point:
              stepped along its family).
 
 Each phase costs O(n) for a formal sum of n atoms in all, the database
-(its relations, their lengths, its susp_of links) held fixed:
+(its relations, their lengths, its susp_of links) held fixed; after a
+substitution, reduce and rewrite revisit only the chains it created or
+changed (see ``_Worklist``):
 
   flatten    a composition folds left to right; while the product is a
              single term it gathers its atoms in one list and builds its
@@ -28,10 +30,17 @@ Each phase costs O(n) for a formal sum of n atoms in all, the database
              only explicit susp_of links are walked step by step;
   resolve    one basis lookup per chain; a chain hashes its atoms once
              and keeps the hash;
-  reduce     per chain, the last factor's and the basis order and one
-             order-fact probe per chain length that holds order facts;
-  rewrite    per relation and window, one O(lhs) suspension of the lhs and
-             one comparison; a substitution rebuilds one chain.
+  reduce     per chain created or changed, the last factor's and the
+             basis order and one order-fact probe per chain length that
+             holds order facts;
+  rewrite    per chain, once, when it enters the sum: per window, one
+             memoised root lookup, then one probe (an atom-by-atom
+             comparison with the suspended lhs, stopping at a mismatch) of
+             each relation whose lhs head has that root and ranks below
+             the chain's best match so far; the scan stops at a match of
+             the first-ranked relation.  The next match pops from a heap
+             keyed by (rank, Chain.key), each key built once per chain; a
+             substitution rebuilds one chain.
 
 The linearity discipline follows the composition calculus for homotopy
 classes: a fixed left factor is linear in the right factor, while sums
@@ -50,6 +59,8 @@ residue stores a reason code and its arguments; both render through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd
 from typing import Optional, Sequence, get_args
 
@@ -608,9 +619,11 @@ def _try_resolve(fs: dict, sig: Optional[E.Signature], db, trace):
                           for i, c in enumerate(elt.coeffs) if c})
 
 
-def _reduce_coefficients(fs: dict, db, trace) -> bool:
+def _reduce_coefficients(fs: dict, chains, db, trace) -> bool:
+    """Reduce the coefficient of each of ``chains`` (chains of ``fs``, in
+    the order of ``fs``) by its annihilator."""
     changed = False
-    for ch in list(fs):
+    for ch in chains:
         c = fs[ch]
         g = chain_annihilator(ch, db)
         if g == 0:
@@ -633,46 +646,145 @@ def _window_cod(ch: Chain, i: int) -> Space:
     return ch.space if i == 0 else sphere(ch.atoms[i - 1].dom)
 
 
-def _apply_relations(fs: dict, db, trace, relation_order, reverse_scan) -> bool:
-    relations = db.relations
-    order = relation_order if relation_order is not None else range(len(relations))
-    chains = sorted(fs, key=Chain.key)  # fs is unchanged until a rule fires
-    for ridx in order:
-        rel = relations[ridx]
-        m = len(rel.lhs_chain.atoms)
+def _window_shift(ch: Chain, i: int, lhs: Chain, db) -> Optional[int]:
+    """The k for which Sigma^k ``lhs`` is the window of ``ch`` starting at
+    atom i, or None; compares atom by atom and stops at a mismatch."""
+    m = len(lhs.atoms)
+    if i + m > len(ch.atoms):
+        return None
+    cod = _window_cod(ch, i)
+    if not cod.is_sphere or not lhs.space.is_sphere:
+        if cod != lhs.space:
+            return None
+    k = cod.n - lhs.space.n
+    if k < 0:
+        return None
+    atoms = ch.atoms
+    for j, a in enumerate(lhs.atoms):
+        if (a if k == 0 else susp_atom(a, k, db)) != atoms[i + j]:
+            return None
+    return k
+
+
+_UNSCANNED = object()  # a chain whose first match is not yet known
+
+
+class _Worklist:
+    """The reduce and rewrite phases of one ``normalize_fs`` call, which
+    owns it; it changes ``fs`` in place and lives as long as the call.
+
+    The match fired is the one a full scan finds first: the least (rank of
+    the relation in the call's relation order, ``Chain.key``, window in
+    scan order).  Matching reads the chain alone, never its coefficient,
+    so each chain's first match is found once, after the chain enters
+    ``fs``, and kept until it leaves; the chains with a match wait in a
+    heap by (rank, key).  A window is probed only against the relations
+    whose lhs head shares the root of its first atom.  Only chains that a
+    substitution created or changed can have a reducible coefficient."""
+
+    def __init__(self, fs: dict, db, relation_order, reverse_scan: bool):
+        self.fs, self.db, self.reverse_scan = fs, db, reverse_scan
+        # relation index -> its first place in the order; None for the
+        # database's own order, where the place is the index
+        self.rank = None
+        if relation_order is not None:
+            self.rank = {}
+            for place, ridx in enumerate(relation_order):
+                self.rank.setdefault(ridx, place)
+        self.candidates: dict = {}  # root -> [(rank, relation)], ascending
+        self.count = count()
+        # chain of fs -> [its insertion number, which keeps the order of
+        # fs; its first match, None, or _UNSCANNED]
+        self.live = {ch: [next(self.count), _UNSCANNED] for ch in fs}
+        self.heap: list = []  # (rank, Chain.key, number, chain) of matches
+        self.to_reduce = list(fs)  # in the order of fs
+        self.to_match = list(fs)
+
+    def reduce(self, trace) -> bool:
+        chains, self.to_reduce = self.to_reduce, []
+        changed = _reduce_coefficients(self.fs, chains, self.db, trace)
         for ch in chains:
-            n = len(ch.atoms)
-            if n < m:
-                continue
-            starts = range(n - m, -1, -1) if reverse_scan else range(n - m + 1)
-            for i in starts:
-                cod = _window_cod(ch, i)
-                if not cod.is_sphere or not rel.lhs_chain.space.is_sphere:
-                    if cod != rel.lhs_chain.space:
-                        continue
-                k = cod.n - rel.lhs_chain.space.n
-                if k < 0:
-                    continue
-                shifted = rel.lhs_chain if k == 0 else susp_chain(rel.lhs_chain, k, db)
-                if shifted is None or shifted.atoms != ch.atoms[i:i + m]:
+            if ch not in self.fs:
+                del self.live[ch]
+        return changed
+
+    def rewrite(self, trace) -> bool:
+        """Fire the first match of the sum; False when there is none."""
+        chains, self.to_match = self.to_match, []
+        for ch in chains:
+            entry = self.live.get(ch)  # None: the chain left fs since
+            if entry is not None and entry[1] is _UNSCANNED:
+                hit = entry[1] = self.first_match(ch)
+                if hit is not None:
+                    heappush(self.heap, (hit[0], ch.key(), entry[0], ch))
+        while self.heap:
+            _, _, number, ch = heappop(self.heap)
+            entry = self.live.get(ch)
+            if entry is not None and entry[0] == number:
+                self._fire(ch, entry[1], trace)
+                return True
+        return False
+
+    def first_match(self, ch: Chain) -> Optional[tuple]:
+        """(rank, window, relation, k, ``ch`` with the window replaced) of
+        the first match in ``ch``, or None.  Roots are read window by
+        window, so a chain that matches the first relation at its first
+        window costs one root and one probe."""
+        atoms, db = ch.atoms, self.db
+        n = len(atoms)
+        best = None
+        for i in range(n - 1, -1, -1) if self.reverse_scan else range(n):
+            for rank, rel in self._candidates(db.head_root(atoms[i])):
+                if best is not None and rank >= best[0]:
+                    break
+                k = _window_shift(ch, i, rel.lhs_chain, db)
+                if k is None:
                     continue
                 rhs = rel.rhs_fs if k == 0 else fs_susp(rel.rhs_fs, k, db)
-                replaced = splice(ch, i, i + m, rhs)
-                if replaced is None:
+                replaced = splice(ch, i, i + len(rel.lhs_chain.atoms), rhs)
+                if replaced is not None:
+                    best = (rank, i, rel, k, replaced)
+                    break
+            if best is not None and best[0] == 0:
+                break  # no relation ranks lower
+        return best
+
+    def _candidates(self, root: str) -> list:
+        heads = self.db.relations_at(root)
+        if self.rank is None:
+            return heads
+        cands = self.candidates.get(root)
+        if cands is None:
+            cands = self.candidates[root] = sorted(
+                (self.rank[r], rel) for r, rel in heads if r in self.rank)
+        return cands
+
+    def _fire(self, ch: Chain, hit: tuple, trace):
+        fs, live = self.fs, self.live
+        _, _, rel, k, replaced = hit
+        c = fs.pop(ch)
+        del live[ch]
+        out = fs_scale(replaced, c)
+        changed = []
+        for w, d in out.items():
+            if w in fs:
+                d += fs[w]
+                if d == 0:
+                    del fs[w], live[w]
                     continue
-                c = fs.pop(ch)
-                out = fs_scale(replaced, c)
-                for w, d in out.items():
-                    fs[w] = fs.get(w, 0) + d
-                    if fs[w] == 0:
-                        del fs[w]
-                detail = rel.name if not k else (
-                    "{} (suspended {} step)" if k == 1 else
-                    "{} (suspended {} steps)", rel.name, k)
-                trace.append(TraceStep("relation", detail, {ch: c}, out,
-                                       rel.provenance))
-                return True
-    return False
+            else:
+                live[w] = [next(self.count), _UNSCANNED]
+                self.to_match.append(w)
+            fs[w] = d
+            changed.append(w)
+        if len(changed) > 1:
+            changed.sort(key=lambda w: live[w][0])
+        self.to_reduce = changed
+        detail = rel.name if not k else (
+            "{} (suspended {} step)" if k == 1 else
+            "{} (suspended {} steps)", rel.name, k)
+        trace.append(TraceStep("relation", detail, {ch: c}, out,
+                               rel.provenance))
 
 
 def normalize(e: E.Expr, db, *, sig_hint: Optional[E.Signature] = None,
@@ -703,6 +815,7 @@ def normalize_fs(fs: dict, sig: Optional[E.Signature], db, *,
     if trace is None:
         trace = []
     start, fs = fs, dict(fs)
+    work = None  # built once the sum first fails to resolve
     steps = 0
     while True:
         steps += 1
@@ -716,9 +829,11 @@ def normalize_fs(fs: dict, sig: Optional[E.Signature], db, *,
                     "resolve", ("element of {}", resolved.element.table.key),
                     dict(fs), resolved.element))
             return resolved
-        if _reduce_coefficients(fs, db, trace):
+        if work is None:
+            work = _Worklist(fs, db, relation_order, reverse_scan)
+        if work.reduce(trace):
             continue
-        if _apply_relations(fs, db, trace, relation_order, reverse_scan):
+        if work.rewrite(trace):
             continue
         break
     return residue(fs, sig, "no-resolution", trace)
