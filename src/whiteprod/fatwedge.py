@@ -90,14 +90,15 @@ class QuotientRing:
                             f"got ({a}, {b})")
         self.tuple = tuple_
         self.levels = (a, b)
+        self._min, self._max = r - b + 1, r - a  # basis subset sizes
+        self._indices = frozenset(range(1, r + 1))
 
     @property
     def _sizes(self) -> range:
-        a, b = self.levels
-        return range(self.tuple.r - b + 1, self.tuple.r - a + 1)
+        return range(self._min, self._max + 1)
 
     def _holds(self, s: frozenset) -> bool:
-        return len(s) in self._sizes and s.issubset(range(1, self.tuple.r + 1))
+        return self._min <= len(s) <= self._max and s <= self._indices
 
     @property
     def basis(self) -> tuple:

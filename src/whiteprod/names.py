@@ -43,6 +43,8 @@ _SUPERSCRIPTS = {"²": "^2", "³": "^3", "⁴": "^4"}
 
 
 def fold_unicode(text: str) -> str:
+    if text.isascii():
+        return text  # every alias is non-ASCII
     out = []
     prev_was_name = False
     for ch in text:

@@ -14,6 +14,15 @@ things the coset calculus pins down exactly: emptiness (a nonvanishing
 lower product), the indeterminacy subgroup, and torsion/suspension
 constraints on a coset representative.  For r >= 4, a product with three
 or more nontrivial factors is ``undetermined``.
+
+Cost rule: one ``triple_coset_constraints`` call, its containment
+recursion on divided factors included, evaluates each distinct factor
+once, brackets each distinct ordered factor pair once, and computes each
+factor's share of J, the generators [gamma, f] for gamma in the basis of
+pi_{M - |f|}, once.  A sub-triple so computes only what involves its
+divided factor.  The shared record lives for that one call; a call of
+``lower_products_vanish``, ``indeterminacy`` or ``bracket`` of its own
+shares nothing with any other call.
 """
 
 from __future__ import annotations
@@ -102,8 +111,13 @@ def bracket(f: E.Expr, g: E.Expr, db, *,
     """Evaluate the classical Whitehead product [f, g]."""
     if trace is None:
         trace = []
-    nf_f = evaluate(f, db, trace=trace)
-    nf_g = evaluate(g, db, trace=trace)
+    return _bracket_of(f, g, evaluate(f, db, trace=trace),
+                       evaluate(g, db, trace=trace), db, trace)
+
+
+def _bracket_of(f: E.Expr, g: E.Expr, nf_f: R.NormalForm,
+                nf_g: R.NormalForm, db, trace) -> R.NormalForm:
+    """``bracket`` once its arguments are evaluated."""
     sf, sg = nf_f.signature, nf_g.signature
     sig = None
     if sf is not None and sg is not None:
@@ -339,7 +353,70 @@ def permutation_pullback(spec: ProductSpec, sigma: Sequence[int]):
     return permuted, (-1) ** inversions
 
 
-def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus:
+class _Factors:
+    """The work one ``triple_coset_constraints`` call shares between its
+    steps and down its containment recursion: each factor's normal form,
+    each ordered pair's bracket (order carries the sign) and each factor's
+    share of J.  It lives for one call, its traces are discarded, and an
+    exception is raised again on the next request, never stored."""
+
+    def __init__(self, db):
+        self.db = db
+        self.forms: dict = {}   # factor -> evaluate(factor)
+        self.pairs: dict = {}   # (f, g) -> [f, g]
+        self.shares: dict = {}  # (f, M) -> the generators [gamma, f] of J
+
+    def form(self, f: E.Expr) -> R.NormalForm:
+        nf = self.forms.get(f)
+        if nf is None:
+            nf = self.forms[f] = evaluate(f, self.db)
+        return nf
+
+    def pair(self, f: E.Expr, g: E.Expr) -> R.NormalForm:
+        nf = self.pairs.get((f, g))
+        if nf is None:
+            nf = self.pairs[f, g] = _bracket_of(
+                f, g, self.form(f), self.form(g), self.db, [])
+        return nf
+
+    def share(self, i: int, f: E.Expr, t: GroupTable, M: int) -> list:
+        """[gamma, f] for gamma in the basis of t = pi_{M - |f|}; ``i``
+        numbers the factor in error messages."""
+        gens = self.shares.get((f, M))
+        if gens is not None:
+            return gens
+        db = self.db
+        nf_f = self.form(f)
+        if not t.is_full:
+            if nf_f.element is None:
+                raise UndeterminedResult(
+                    f"factor {i + 1} does not resolve; cannot license the "
+                    f"partial table {t.key}")
+            o = order_of(nf_f.element)
+            if o is INFINITE or not _prime_support_within(int(o), t.primes):
+                raise UndeterminedResult(
+                    f"{t.key} is only complete at primes "
+                    f"{sorted(t.primes)}; the order of factor {i + 1} does "
+                    f"not license ignoring the rest")
+        sig = E.Signature(M - 1, t.key.target)
+        gens = []
+        for ch in db.basis_chains(t.key):
+            shown = ("[{}, {}]", ch, f)
+            if nf_f.fs is None:
+                nf = nf_f  # flattening the factor was blocked
+            else:
+                nf_gamma = evaluate_fs({ch: 1}, ch.signature, db)
+                nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
+            if not nf.is_resolved:
+                raise UndeterminedResult(
+                    f"{R.show(shown)} did not resolve: {nf.reason}")
+            gens.append(nf.element)
+        self.shares[f, M] = gens
+        return gens
+
+
+def lower_products_vanish(spec: ProductSpec, db, *, trace=None,
+                          _factors: Optional[_Factors] = None) -> ProductStatus:
     """Check the nonemptiness criterion: all lower products contain zero.
 
     For r > 2 each pair is bracketed once: unresolved gives
@@ -348,16 +425,22 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus
     on size) exactly when at most two of its factors are nontrivial.  So
     at r >= 4 three nontrivial factors give ``undetermined``; otherwise a
     trivial factor gives ``contains_zero`` and none gives ``nonempty``.
+    A call of its own traces every pair, repeated ones included; inside a
+    triple, ``_factors`` shares the pairs and forms.
     """
     if trace is None:
         trace = []
+    forms = _factors if _factors is not None else _Factors(db)
     spec.signatures(db)
     r = spec.r
     factors = spec.factors
     if r > 2:  # at r = 2 the pair itself is the product
         for i in range(r):
             for j in range(i + 1, r):
-                nf = bracket(factors[i], factors[j], db, trace=trace)
+                if _factors is None:
+                    nf = bracket(factors[i], factors[j], db, trace=trace)
+                else:
+                    nf = _factors.pair(factors[i], factors[j])
                 if not nf.is_resolved:
                     return ProductStatus(
                         "undetermined",
@@ -372,7 +455,7 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus
                                             f"{E.format_expr(factors[j])}]",
                                  "value": nf.display()})
     zero_slots = [i + 1 for i, f in enumerate(factors)
-                  if evaluate(f, db).is_zero]
+                  if forms.form(f).is_zero]
     nontrivial = tuple(i for i in range(1, r + 1) if i not in zero_slots)
     if r >= 4 and len(nontrivial) >= 3:
         return ProductStatus("undetermined", reason=(
@@ -386,8 +469,12 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None) -> ProductStatus
                          reason="all lower products contain zero")
 
 
-def indeterminacy(spec: ProductSpec, db) -> Subgroup:
-    """The subgroup by which the product is a coset, for sphere factors."""
+def indeterminacy(spec: ProductSpec, db, *,
+                  _factors: Optional[_Factors] = None) -> Subgroup:
+    """The subgroup by which the product is a coset, for sphere factors:
+    the sum of the factors' shares [pi, alpha_i]."""
+    if _factors is None:
+        _factors = _Factors(db)
     sigs = spec.signatures(db)
     target = sigs[0].target
     dims = [s.source_dim for s in sigs]
@@ -395,36 +482,13 @@ def indeterminacy(spec: ProductSpec, db) -> Subgroup:
     out_table = db.table(target, M - 1)
     if out_table is None:
         raise MissingTable(f"no table for pi_{M - 1}({target})")
-    sig = E.Signature(M - 1, target)
     gens = []
     for i, f in enumerate(spec.factors):
         k = M - dims[i]
         t = db.table(target, k)
         if t is None:
             raise MissingTable(f"no table for pi_{k}({target})")
-        nf_f = evaluate(f, db)
-        if not t.is_full:
-            if nf_f.element is None:
-                raise UndeterminedResult(
-                    f"factor {i + 1} does not resolve; cannot license the "
-                    f"partial table pi_{k}({target})")
-            o = order_of(nf_f.element)
-            if o is INFINITE or not _prime_support_within(int(o), t.primes):
-                raise UndeterminedResult(
-                    f"pi_{k}({target}) is only complete at primes "
-                    f"{sorted(t.primes)}; the order of factor {i + 1} does "
-                    f"not license ignoring the rest")
-        for ch in db.basis_chains(t.key):
-            shown = ("[{}, {}]", ch, f)
-            if nf_f.fs is None:
-                nf = nf_f  # flattening the factor was blocked
-            else:
-                nf_gamma = evaluate_fs({ch: 1}, ch.signature, db)
-                nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
-            if not nf.is_resolved:
-                raise UndeterminedResult(
-                    f"{R.show(shown)} did not resolve: {nf.reason}")
-            gens.append(nf.element)
+        gens += _factors.share(i, f, t, M)
     return subgroup_generated(gens, out_table)
 
 
@@ -437,18 +501,21 @@ def _prime_support_within(n: int, primes: frozenset) -> bool:
     return n == 1
 
 
-def triple_coset_constraints(spec: ProductSpec, db, *,
-                             _depth: int = 0) -> ProductStatus:
+def triple_coset_constraints(spec: ProductSpec, db, *, _depth: int = 0,
+                             _factors: Optional[_Factors] = None
+                             ) -> ProductStatus:
     """Torsion and suspension constraints on a triple-product representative."""
     if spec.r != 3:
         raise DegreeMismatch("triple constraints need exactly three factors")
-    low = lower_products_vanish(spec, db)
+    if _factors is None:
+        _factors = _Factors(db)
+    low = lower_products_vanish(spec, db, _factors=_factors)
     if low.kind in ("empty", "undetermined"):
         return low
     sigs = spec.signatures(db)
     target = sigs[0].target
     M = sum(s.source_dim for s in sigs)
-    J = indeterminacy(spec, db)
+    J = indeterminacy(spec, db, _factors=_factors)
     table = J.table
     constraints: list[str] = []
     notes: list[str] = []
@@ -456,7 +523,7 @@ def triple_coset_constraints(spec: ProductSpec, db, *,
     elements = []
     finite_orders = []
     for f in spec.factors:
-        nf = evaluate(f, db)
+        nf = _factors.form(f)
         elements.append(nf.element)
         if nf.element is not None:
             o = order_of(nf.element)
@@ -528,7 +595,8 @@ def triple_coset_constraints(spec: ProductSpec, db, *,
                 sub_factors[t] = element_to_expr(divided, db)
                 try:
                     sub = triple_coset_constraints(
-                        ProductSpec(tuple(sub_factors)), db, _depth=_depth + 1)
+                        ProductSpec(tuple(sub_factors)), db, _depth=_depth + 1,
+                        _factors=_factors)
                 except (MissingTable, UndeterminedResult):
                     continue
                 if sub.kind == "coset":
