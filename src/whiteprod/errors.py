@@ -65,6 +65,10 @@ class StepLimitExceeded(CalcError):
     """Rewriting did not reach a fixed point within the step budget."""
 
 
+class FlattenLimitExceeded(CalcError):
+    """Flattening would build a formal sum with more atoms than its limit."""
+
+
 class DepthLimitExceeded(CalcError):
     """Bracket expansion nested deeper than its depth budget."""
 

@@ -24,10 +24,17 @@ changed (see ``_Worklist``):
 
   flatten    a composition folds left to right; while the product is a
              single term it gathers its atoms in one list and builds its
-             chain once (a product of sums folds pairwise); x^k expands
-             to x . S^d x . ... . S^((k-1)d) x, where Sigma^j of a family
-             member jumps j spheres at once, so each factor costs O(x);
-             only explicit susp_of links are walked step by step;
+             chain once (a product of sums folds pairwise); x^k, which
+             means x . S^d x . ... . S^((k-1)d) x, is built without that
+             expression: x is flattened once, and a one-term x = c u has
+             the atoms of each S^(jd) u appended to one list, one chain in
+             all (a sum folds its suspended copies pairwise); Sigma^j of a
+             family member jumps j spheres at once, so each copy costs
+             O(x); only explicit susp_of links are walked step by step;
+             no formal sum flattening builds (a power, a composition, a
+             sum) may hold more than FLATTEN_LIMIT atoms, checked step by
+             step as it grows, and for a one-term power before its atom
+             list is allocated;
   resolve    one basis lookup per chain; a chain hashes its atoms once
              and keeps the hash;
   reduce     per chain created or changed, the last factor's and the
@@ -39,8 +46,9 @@ changed (see ``_Worklist``):
              each relation whose lhs head has that root and ranks below
              the chain's best match so far; the scan stops at a match of
              the first-ranked relation.  The next match pops from a heap
-             keyed by (rank, Chain.key), each key built once per chain; a
-             substitution rebuilds one chain.
+             ordered by (rank, Chain.key), a key built only when two
+             entries tie on rank, and once per entry; a one-term
+             substitution builds its chain in one concatenation.
 
 The linearity discipline follows the composition calculus for homotopy
 classes: a fixed left factor is linear in the right factor, while sums
@@ -65,11 +73,12 @@ from math import gcd
 from typing import Optional, Sequence, get_args
 
 from . import expr as E
-from .errors import (DegreeMismatch, NoSuspensionFamily, NotASuspension,
-                     StepLimitExceeded)
+from .errors import (DegreeMismatch, FlattenLimitExceeded, NoSuspensionFamily,
+                     NotASuspension, StepLimitExceeded)
 from .groups import GeneratorDecl, GroupElement, Space, sphere
 
 STEP_LIMIT = 10_000
+FLATTEN_LIMIT = 200_000  # atoms in one formal sum built by ``flatten``
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +87,17 @@ STEP_LIMIT = 10_000
 @dataclass(frozen=True)
 class GenAtom:
     """Sigma^k of a declared generator: equal, hashed and sorted by
-    (name, k); everything else is read from the database's declaration."""
+    (name, k); everything else is read from the database's declaration,
+    except ``is_susp``, which is stored when the atom is made."""
 
     name: str
     k: int
     decl: GeneratorDecl = field(compare=False, repr=False)
+    is_susp: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_susp",
+                           self.k > 0 or self.decl.is_suspension)
 
     @property
     def dom(self) -> int:
@@ -97,10 +112,6 @@ class GenAtom:
         # order(Sigma x) divides order(x), so the declared order is a valid
         # annihilator even though the true order may be smaller.
         return self.decl.order
-
-    @property
-    def is_susp(self) -> bool:
-        return self.k > 0 or self.decl.is_suspension
 
     def key(self):
         return ("g", self.name) if not self.k else ("s", self.k, "g", self.name)
@@ -125,13 +136,11 @@ class BracketAtom:
     def order(self) -> int:
         return 0
 
-    @property
-    def is_susp(self) -> bool:
-        return False
+    is_susp = False  # a class attribute, not a field
 
     def key(self):
-        return ("b", tuple((ch.key(), c) for ch, c in self.left),
-                tuple((ch.key(), c) for ch, c in self.right))
+        return ("b", tuple([(ch.key(), c) for ch, c in self.left]),
+                tuple([(ch.key(), c) for ch, c in self.right]))
 
 
 @dataclass(frozen=True)
@@ -151,8 +160,11 @@ class Chain:
         return self._hash
 
     def key(self):
-        """The canonical sort order of chains (equality is the dataclass's)."""
-        return (str(self.space), self.dom, tuple(a.key() for a in self.atoms))
+        """The canonical sort order of chains (equality is the dataclass's).
+        Keys are built from lists: ``tuple`` of a generator allocates at a
+        length hint and frees at the final size, which strands tuples on
+        the interpreter's free lists."""
+        return (str(self.space), self.dom, tuple([a.key() for a in self.atoms]))
 
     @property
     def is_suspension_class(self) -> bool:
@@ -255,11 +267,25 @@ def fs_compose(a: dict, b: dict) -> Optional[dict]:
     return out
 
 
+def fs_size(a: dict) -> int:
+    """The atoms of a formal sum, each bracket counted as one."""
+    return sum(len(ch.atoms) for ch in a)
+
+
+def _check_size(n: int):
+    """Raise before a formal sum of ``n`` atoms is built past the limit."""
+    if n > FLATTEN_LIMIT:
+        raise FlattenLimitExceeded(
+            f"a formal sum of {n} atoms exceeds FLATTEN_LIMIT = "
+            f"{FLATTEN_LIMIT} atoms")
+
+
 def fs_compose_all(factors) -> Optional[dict]:
     """``fs_compose`` folded left to right over an iterable of formal sums,
     read one at a time; None as soon as linearity blocks a step.  While
     the product is a single term its atoms are gathered in one list, so
-    its chain is built and hashed once, not once per prefix."""
+    its chain is built and hashed once, not once per prefix.  Each step
+    first checks the atoms it would build against FLATTEN_LIMIT."""
     it = iter(factors)
     out = next(it)
     atoms = None  # a single-term product's atoms, with dom, coeff and space
@@ -271,10 +297,12 @@ def fs_compose_all(factors) -> Optional[dict]:
             if len(b) == 1 and _licensed(coeff == 1, b):
                 (v, d), = b.items()
                 _check_composable(dom, v.space)
+                _check_size(len(atoms) + len(v.atoms))
                 atoms.extend(v.atoms)
                 dom, coeff = v.dom, coeff * d
                 continue
             out, atoms = {Chain(tuple(atoms), dom, space): coeff}, None
+        _check_size(len(b) * fs_size(out) + len(out) * fs_size(b))
         out = fs_compose(out, b)
         if out is None:
             return None
@@ -283,10 +311,53 @@ def fs_compose_all(factors) -> Optional[dict]:
     return out
 
 
+def fs_power(x: dict, k: int, d: int, db) -> Optional[dict]:
+    """x^k = x . S^d x . ... . S^((k-1)d) x for x of stem d: the sum
+    ``fs_compose_all`` gives for those k factors, None when it blocks.
+    A sum x folds its copies; a one-term x = c u appends the atoms of
+    each S^(jd) u to one list, with the checks ``fs_compose_all`` makes
+    per factor (linearity, then degrees, which depend on j not at all),
+    so the coefficient is c^k; its size k |u| is checked before the list
+    is allocated."""
+    if len(x) != 1:
+        return fs_compose_all(fs_susp(x, j * d, db) if j else x
+                              for j in range(k))
+    (u, c), = x.items()
+    unit = u.atoms
+    _check_size(k * len(unit))
+    atoms, coeff = list(unit), c
+    for j in range(1, k):
+        start = len(atoms)
+        for a in unit:
+            s = susp_atom(a, j * d, db)
+            if s is None:
+                return {}  # suspensions of brackets vanish
+            atoms.append(s)
+        if coeff != 1 and not all(atoms[t].is_susp
+                                  for t in range(start, len(atoms))):
+            return None
+        if j == 1:  # later copies compose exactly when the first does
+            _check_composable(u.dom, sphere(u.space.n + d))
+        coeff *= c
+    return {Chain(tuple(atoms), u.dom + (k - 1) * d, u.space): coeff}
+
+
 def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
-    """``ch`` with atoms i..j-1 replaced by ``fs``; None when linearity blocks."""
-    mid = fs if i == 0 else fs_compose({ch.prefix(i): 1}, fs)
-    return fs_compose(mid, {ch.suffix(j): 1})
+    """``ch`` with atoms i..j-1 replaced by ``fs``; None when linearity
+    blocks.  A one-term ``fs`` makes its chain in one concatenation, with
+    the checks of composing prefix, ``fs`` and suffix in that order."""
+    if len(fs) != 1:
+        mid = fs if i == 0 else fs_compose({ch.prefix(i): 1}, fs)
+        return fs_compose(mid, {ch.suffix(j): 1})
+    (v, c), = fs.items()
+    atoms = ch.atoms
+    if i:
+        _check_composable(atoms[i - 1].dom, v.space)
+    if c != 1 and not all(atoms[t].is_susp for t in range(j, len(atoms))):
+        return None
+    _check_composable(v.dom, sphere(atoms[j - 1].dom) if j else ch.space)
+    return {Chain(atoms[:i] + v.atoms + atoms[j:], ch.dom,
+                  ch.space if i else v.space): c}
 
 
 def susp_atom(atom, k: int, db):
@@ -356,8 +427,8 @@ def smash_fs(a: dict, b: dict, q: int, p_src: int, db) -> dict:
 # flattening expressions
 
 def flatten(e: E.Expr, db) -> dict:
-    """Expr -> formal sum, expanding powers (their one expansion);
-    raises Blocked on non-distributable shapes."""
+    """Expr -> formal sum; raises Blocked on non-distributable shapes and
+    FlattenLimitExceeded before building a sum past FLATTEN_LIMIT atoms."""
     if isinstance(e, E.Gen):
         decl = db.decl(e.name)
         if decl is None:
@@ -376,8 +447,12 @@ def flatten(e: E.Expr, db) -> dict:
         return fs_susp(flatten(e.e, db), e.count, db)
     if isinstance(e, E.Sum):
         out: dict = {}
+        size = 0  # the atoms of the terms so far, cancelled ones included
         for t in e.terms:
-            out = fs_add(out, flatten(t, db))
+            term = flatten(t, db)
+            size += fs_size(term)
+            _check_size(size)
+            out = fs_add(out, term)
         return out
     if isinstance(e, E.Scalar):
         return fs_scale(flatten(e.e, db), e.n)
@@ -389,7 +464,20 @@ def flatten(e: E.Expr, db) -> dict:
     if isinstance(e, E.HigherBracket):
         raise Blocked("higher-product")
     if isinstance(e, E.Power):
-        return flatten(E.expand_powers(e, db), db)
+        # the stem as ``expand_powers`` reads it, with its errors
+        sig = E.typecheck(e.e, db)
+        if sig is None:
+            return {}
+        d = sig.source_dim - sig.target.n
+        if d <= 0:
+            raise DegreeMismatch("power of a class with non-positive stem")
+        # each of the k copies holds an atom at least; checked before x is
+        # flattened, so a blocked x^k is never expanded for its display
+        _check_size(e.k)
+        out = fs_power(flatten(e.e, db), e.k, d, db)
+        if out is None:
+            raise Blocked("blocked-linearity")
+        return out
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -669,6 +757,25 @@ def _window_shift(ch: Chain, i: int, lhs: Chain, db) -> Optional[int]:
 _UNSCANNED = object()  # a chain whose first match is not yet known
 
 
+class _Pending:
+    """A chain's entry in the match heap below its rank: it orders by
+    (``Chain.key``, insertion number), the key built the first time the
+    heap compares two entries of one rank."""
+
+    __slots__ = ("number", "chain", "_order")
+
+    def __init__(self, number: int, ch: Chain):
+        self.number, self.chain, self._order = number, ch, None
+
+    def __lt__(self, other: "_Pending") -> bool:
+        return self.order() < other.order()
+
+    def order(self) -> tuple:
+        if self._order is None:
+            self._order = (self.chain.key(), self.number)
+        return self._order
+
+
 class _Worklist:
     """The reduce and rewrite phases of one ``normalize_fs`` call, which
     owns it; it changes ``fs`` in place and lives as long as the call.
@@ -678,7 +785,8 @@ class _Worklist:
     scan order).  Matching reads the chain alone, never its coefficient,
     so each chain's first match is found once, after the chain enters
     ``fs``, and kept until it leaves; the chains with a match wait in a
-    heap by (rank, key).  A window is probed only against the relations
+    heap by (rank, ``_Pending``), which builds keys only on rank ties.
+    A window is probed only against the relations
     whose lhs head shares the root of its first atom.  Only chains that a
     substitution created or changed can have a reducible coefficient."""
 
@@ -696,7 +804,7 @@ class _Worklist:
         # chain of fs -> [its insertion number, which keeps the order of
         # fs; its first match, None, or _UNSCANNED]
         self.live = {ch: [next(self.count), _UNSCANNED] for ch in fs}
-        self.heap: list = []  # (rank, Chain.key, number, chain) of matches
+        self.heap: list = []  # (rank, _Pending) of matches
         self.to_reduce = list(fs)  # in the order of fs
         self.to_match = list(fs)
 
@@ -716,12 +824,12 @@ class _Worklist:
             if entry is not None and entry[1] is _UNSCANNED:
                 hit = entry[1] = self.first_match(ch)
                 if hit is not None:
-                    heappush(self.heap, (hit[0], ch.key(), entry[0], ch))
+                    heappush(self.heap, (hit[0], _Pending(entry[0], ch)))
         while self.heap:
-            _, _, number, ch = heappop(self.heap)
-            entry = self.live.get(ch)
-            if entry is not None and entry[0] == number:
-                self._fire(ch, entry[1], trace)
+            _, pending = heappop(self.heap)
+            entry = self.live.get(pending.chain)
+            if entry is not None and entry[0] == pending.number:
+                self._fire(pending.chain, entry[1], trace)
                 return True
         return False
 
