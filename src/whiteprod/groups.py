@@ -22,7 +22,7 @@ calculus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -71,6 +71,7 @@ class GeneratorDecl:
     ``order`` 0 encodes infinite order.  ``suspension_of`` names the
     generator one suspension below, for an explicit link and for every
     family member above the base; ``is_suspension`` is derived from it.
+    ``family`` is set on a family's base only, by the relations loader.
     """
 
     name: str
@@ -78,6 +79,7 @@ class GeneratorDecl:
     target: Space
     order: int
     suspension_of: str | None = None
+    family: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.order < 0:

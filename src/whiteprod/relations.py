@@ -13,7 +13,9 @@ File syntax (one entry per line, ``#`` starts a comment):
 A ``family`` extends an explicitly declared base generator upward: the
 member one sphere higher is its suspension, with the family's default
 order.  Explicit ``gen`` lines win over family synthesis, which is how
-eta_2 keeps infinite order while eta_n (n >= 3) has order two.
+eta_2 keeps infinite order while eta_n (n >= 3) has order two.  The
+engine holds a member as its base and a shift, and synthesizes a member's
+declaration only when its name is looked up.
 
 Signs: every relation cited with a +- ambiguity is stored with "+"; all
 downstream uses in this calculator depend only on orders and vanishing,
@@ -23,7 +25,7 @@ which the sign choice does not affect.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import expr as E
@@ -40,13 +42,17 @@ from .parser import parse
 BRACKET_ROOT = "[,]"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Family:
+    """``decl`` is the base's declaration, which names the family back;
+    ``orders`` holds the order of each member a gen line declares."""
+
     name: str
     base: int
-    stem: int
     default_order: int
     style: str  # '_' or '()'
+    decl: GeneratorDecl = field(default=None, repr=False)
+    orders: dict = field(default_factory=dict, repr=False)  # index -> order
 
 
 @dataclass
@@ -73,9 +79,7 @@ class RelationDB:
     def __init__(self):
         self._decls: dict[str, GeneratorDecl] = {}
         self._families: dict[str, Family] = {}
-        self._synth: dict[str, GeneratorDecl] = {}
-        self._members: dict[str, Optional[tuple]] = {}  # see _family_index
-        self._roots: dict[str, str] = {}  # see root
+        self._names: dict[str, tuple] = {}  # see _lookup
         self._susp_links: dict[str, str] = {}  # name -> name of its suspension
         self.tables: dict[TableKey, GroupTable] = {}
         self._basis: dict[TableKey, list] = {}
@@ -98,111 +102,88 @@ class RelationDB:
                 raise RelationsFileError(
                     f"two suspensions declared for {decl.suspension_of!r}")
             self._susp_links[decl.suspension_of] = decl.name
-        self._roots.clear()
+        self._names.clear()
 
     def add_family(self, fam: Family):
         if fam.name in self._families:
             raise RelationsFileError(f"duplicate family {fam.name!r}")
         self._families[fam.name] = fam
-        self._members.clear()
-        self._roots.clear()
+        self._decls[fam.decl.name] = fam.decl  # the base, naming fam
+        self._names.clear()
 
-    def _family_index(self, name: str) -> Optional[tuple]:
-        """(family, sphere index) of a family member at or above its base,
-        else None.  The answer is kept only for family members and
-        declared names, so each of those is parsed once and the memo grows
-        no faster than the synthesized declarations."""
-        if name in self._members:
-            return self._members[name]
+    def _lookup(self, name: str) -> Optional[tuple]:
+        """(family, sphere index, declaration) of a family member at or
+        above its base, (None, None, declaration) of another declared name,
+        else None.  Each name is parsed once; the engine looks up no name
+        it builds, so the memo is bounded by the file and the inputs."""
+        hit = self._names.get(name)
+        if hit is not None:
+            return hit
+        decl = self._decls.get(name)
         fam_name, idx, style = split_name(name)
         fam = self._families.get(fam_name)
-        hit = None
-        if fam is not None and idx is not None and style == fam.style \
-                and idx >= fam.base:
-            hit = fam, idx
-        if hit is not None or name in self._decls:
-            self._members[name] = hit
+        if fam is not None and style == fam.style and idx >= fam.base:
+            if decl is None:  # the base always has a gen line
+                decl = GeneratorDecl(
+                    name=name, source_dim=fam.decl.source_dim + idx - fam.base,
+                    target=sphere(idx), order=fam.default_order,
+                    suspension_of=join_name(fam.name, idx - 1, fam.style))
+            hit = fam, idx, decl
+        elif decl is not None:
+            hit = None, None, decl
+        else:
+            return None
+        self._names[name] = hit
         return hit
 
-    def _family_member(self, name: str) -> Optional[tuple]:
-        """(family, sphere index, the member below) for a family member
-        above its base: the suspension of that member below."""
-        hit = self._family_index(name)
-        if hit is None or hit[1] == hit[0].base:
-            return None
-        fam, idx = hit
-        return fam, idx, join_name(fam.name, idx - 1, fam.style)
+    def _family_index(self, name: str) -> Optional[tuple]:
+        """(family, sphere index) of a family member at or above its base."""
+        hit = self._lookup(name)
+        return hit[:2] if hit and hit[0] else None
 
     def decl(self, name: str) -> Optional[GeneratorDecl]:
-        if name in self._decls:
-            return self._decls[name]
-        if name in self._synth:
-            return self._synth[name]
-        member = self._family_member(name)
-        if member is None:
-            return None
-        fam, idx, below = member
-        decl = GeneratorDecl(
-            name=name, source_dim=idx + fam.stem, target=sphere(idx),
-            order=fam.default_order, suspension_of=below)
-        self._synth[name] = decl
-        return decl
+        hit = self._names.get(name) or self._lookup(name)
+        return None if hit is None else hit[2]
 
     def susp_name(self, name: str) -> Optional[str]:
         """The class one suspension above ``name``, or None."""
-        above, left = self.susp_steps(name, 1)
-        return None if left else above
+        hit = self._family_index(name)
+        if hit is None:
+            return self._susp_links.get(name)
+        return join_name(hit[0].name, hit[1] + 1, hit[0].style)
 
     def susp_steps(self, name: str, k: int) -> tuple:
-        """Sigma^k of ``name`` as (the highest named class reached, the
-        steps left past it).  Explicit ``susp_of`` links are followed one
-        step at a time; a family member at or above its base jumps k
-        steps at once (the loader keeps links out of families, so the two
-        agree)."""
-        while k:
-            hit = self._family_index(name)
-            if hit is not None:
-                fam, idx = hit
-                return join_name(fam.name, idx + k, fam.style), 0
-            above = self._susp_links.get(name)
+        """Sigma^k of ``name`` as (a declared class, the steps above it):
+        a family member's base, or as far as ``susp_of`` links lead."""
+        while True:
+            hit = self._lookup(name)
+            if hit is not None and hit[0] is not None:
+                fam = hit[0]
+                return fam.decl.name, hit[1] - fam.base + k
+            above = self._susp_links.get(name) if k else None
             if above is None:
-                break
+                return name, k
             name, k = above, k - 1
-        return name, k
 
     def root(self, name: str) -> str:
         """The declared class at the bottom of ``name``'s family and
         susp_of links (eta_7 -> eta_2, Snu' -> nu'), which every suspension
-        of ``name`` shares.  Kept, like ``_family_index``, only for
-        declared names and family members."""
-        hit = self._roots.get(name)
-        if hit is not None:
-            return hit
-        below = name
-        while True:
-            member = self._family_index(below)
-            if member is not None:
-                fam = member[0]
-                below = join_name(fam.name, fam.base, fam.style)
-            decl = self.decl(below)
-            if decl is None or decl.suspension_of is None:
-                break
-            below = decl.suspension_of
-        if self.decl(name) is not None:
-            self._roots[name] = below
-        return below
+        of ``name`` shares."""
+        return self.head_root(R._gen_atom(self, name)) if self.decl(name) \
+            else name
 
     def head_root(self, atom) -> str:
         """The root of an atom: its generator's, or BRACKET_ROOT."""
         if isinstance(atom, R.BracketAtom):
             return BRACKET_ROOT
-        return self.root(atom.name)
+        decl = atom.decl  # a declared class, and so are the ones below it
+        while decl.suspension_of is not None:
+            decl = self.decl(decl.suspension_of)
+        return decl.name
 
     def desusp_name(self, name: str) -> Optional[str]:
         d = self.decl(name)
-        if d is not None and d.suspension_of is not None:
-            return d.suspension_of
-        return None
+        return None if d is None else d.suspension_of
 
     # -- tables -------------------------------------------------------------
 
@@ -445,24 +426,29 @@ def _family(db: RelationDB, ln: _Line):
     if not base_decl.target.is_sphere or base_decl.target.n != base:
         raise RelationsFileError(
             f"family base {base_decl.name!r} must live on S{base}")
-    db.add_family(Family(name=name, base=base,
-                         stem=base_decl.source_dim - base,
-                         default_order=default_order, style=style))
+    fam = Family(name=name, base=base, default_order=default_order,
+                 style=style)
+    fam.decl = replace(base_decl, family=fam)
+    db.add_family(fam)
 
 
 def _susp_link(db: RelationDB, ln: _Line):
     """Validate a gen line's susp_of link; runs once every family exists.
-    A family member above its base links to the member below."""
-    decl = db._decls[ln.body.split()[0]]
-    member = db._family_member(decl.name)
+    A family member above its base links to the member below, and its
+    order becomes the family's order at its index."""
+    fam, idx, decl = db._lookup(ln.body.split()[0])
+    member = None  # the member below, for a member above its base
+    if fam is not None and idx > fam.base:
+        member = join_name(fam.name, idx - 1, fam.style)
+        fam.orders[idx] = decl.order
     if member is not None and decl.suspension_of is None:
-        decl = replace(decl, suspension_of=member[2])
+        decl = replace(decl, suspension_of=member)
         del db._decls[decl.name]
         db.add_decl(decl)  # registers the link as a susp_of line would
-    elif member is not None and decl.suspension_of != member[2]:
+    elif member is not None and decl.suspension_of != member:
         raise RelationsFileError(
             f"family member {decl.name!r} is the suspension of "
-            f"{member[2]!r}, not of {decl.suspension_of!r}")
+            f"{member!r}, not of {decl.suspension_of!r}")
     if decl.suspension_of is None:
         return
     below = db.decl(decl.suspension_of)
@@ -475,12 +461,10 @@ def _susp_link(db: RelationDB, ln: _Line):
             below.target.n != decl.target.n - 1:
         raise RelationsFileError(
             f"{decl.name!r} is not one suspension above {below.name!r}")
-    hit = db._family_index(below.name)
-    if member is None and hit is not None:
-        fam, idx = hit
+    if member is None and db._family_index(below.name) is not None:
         raise RelationsFileError(
             f"{decl.name!r}: susp_of names family member {below.name!r}, "
-            f"whose suspension is {join_name(fam.name, idx + 1, fam.style)!r}")
+            f"whose suspension is {db.susp_name(below.name)!r}")
 
 
 def _group(db: RelationDB, ln: _Line):

@@ -2,9 +2,9 @@
 
 Internally an expression is flattened once to a formal integer
 combination of *chains*: composition strings of atoms.  A generator atom
-is Sigma^k of a declared name (k > 0 only past the last name of its
-family, where suspending and desuspending change only k); a bracket atom
-is inert, its two arguments nonzero formal sums.  ``normalize``
+is Sigma^k of a declared generator, k counting every suspension above it
+(eta_7 is Sigma^5 eta_2: suspending and desuspending change only k); a
+bracket atom is inert, its two arguments nonzero formal sums.  ``normalize``
 typechecks and flattens; ``normalize_fs`` then loops three phases over
 the formal sum to a fixed point:
 
@@ -28,9 +28,9 @@ changed (see ``_Worklist``):
              means x . S^d x . ... . S^((k-1)d) x, is built without that
              expression: x is flattened once, and a one-term x = c u has
              the atoms of each S^(jd) u appended to one list, one chain in
-             all (a sum folds its suspended copies pairwise); Sigma^j of a
-             family member jumps j spheres at once, so each copy costs
-             O(x); only explicit susp_of links are walked step by step;
+             all (a sum folds its suspended copies pairwise); Sigma^j of
+             an atom adds j to its shift, so each copy costs O(x) and
+             builds no name; only explicit susp_of links are walked;
              no formal sum flattening builds (a power, a composition, a
              sum) may hold more than FLATTEN_LIMIT atoms, checked step by
              step as it grows, and for a one-term power before its atom
@@ -74,8 +74,9 @@ from typing import Optional, Sequence, get_args
 
 from . import expr as E
 from .errors import (DegreeMismatch, FlattenLimitExceeded, NoSuspensionFamily,
-                     NotASuspension, StepLimitExceeded)
+                     NotASuspension, StepLimitExceeded, UnknownGenerator)
 from .groups import GeneratorDecl, GroupElement, Space, sphere
+from .names import join_name
 
 STEP_LIMIT = 10_000
 FLATTEN_LIMIT = 200_000  # atoms in one formal sum built by ``flatten``
@@ -86,9 +87,9 @@ FLATTEN_LIMIT = 200_000  # atoms in one formal sum built by ``flatten``
 
 @dataclass(frozen=True)
 class GenAtom:
-    """Sigma^k of a declared generator: equal, hashed and sorted by
-    (name, k); everything else is read from the database's declaration,
-    except ``is_susp``, which is stored when the atom is made."""
+    """Sigma^k of a declared generator: equal and hashed by (name, k),
+    shown and sorted by ``shown``; everything else is read from the
+    declaration, except ``is_susp``, which is stored when the atom is made."""
 
     name: str
     k: int
@@ -109,12 +110,23 @@ class GenAtom:
 
     @property
     def order(self) -> int:
-        # order(Sigma x) divides order(x), so the declared order is a valid
-        # annihilator even though the true order may be smaller.
-        return self.decl.order
+        # a family member's own order; else order(Sigma x) divides order(x),
+        # so the declared order annihilates even where the true one is less
+        fam = self.decl.family
+        if fam is None or not self.k:
+            return self.decl.order
+        return fam.orders.get(fam.base + self.k, fam.default_order)
+
+    def shown(self) -> tuple:
+        """(name, k) as written: a family member by its own name."""
+        fam = self.decl.family
+        if fam is None or not self.k:
+            return self.name, self.k
+        return join_name(fam.name, fam.base + self.k, fam.style), 0
 
     def key(self):
-        return ("g", self.name) if not self.k else ("s", self.k, "g", self.name)
+        name, k = self.shown()
+        return ("g", name) if not k else ("s", k, "g", name)
 
 
 @dataclass(frozen=True)
@@ -362,12 +374,13 @@ def splice(ch: Chain, i: int, j: int, fs: dict) -> Optional[dict]:
 
 def susp_atom(atom, k: int, db):
     """Sigma^k of an atom; None kills the term (brackets suspend to zero).
-    A name moves up its family; past its last name only ``k`` grows."""
+    Only an unsuspended atom outside every family asks the database,
+    which follows its explicit susp_of links; any other atom adds k."""
     if isinstance(atom, BracketAtom):
         return None
-    if atom.k:
+    if atom.k or atom.decl.family is not None:
         return GenAtom(atom.name, atom.k + k, atom.decl)
-    return _gen_atom(db, *db.susp_steps(atom.name, k))
+    return _gen_atom(db, atom.name, k)
 
 
 def desusp_atom(atom, db):
@@ -381,6 +394,7 @@ def desusp_atom(atom, db):
 
 
 def _gen_atom(db, name: str, k: int = 0) -> GenAtom:
+    name, k = db.susp_steps(name, k)  # the one atom of the class
     return GenAtom(name, k, db.decl(name))
 
 
@@ -432,11 +446,10 @@ def flatten(e: E.Expr, db) -> dict:
     if isinstance(e, E.Gen):
         decl = db.decl(e.name)
         if decl is None:
-            from .errors import UnknownGenerator
             raise UnknownGenerator(f"undeclared generator {e.name!r}")
         if decl.target.is_sphere and decl.source_dim == decl.target.n:
             return {identity_chain(decl.source_dim): 1}
-        atom = GenAtom(e.name, 0, decl)
+        atom = _gen_atom(db, e.name)
         return {Chain((atom,), atom.dom, atom.space): 1}
     if isinstance(e, E.Compose):
         out = fs_compose_all(flatten(g, db) for g in E.compose_factors(e))
@@ -486,7 +499,8 @@ def flatten(e: E.Expr, db) -> dict:
 
 def atom_to_expr(a) -> E.Expr:
     if isinstance(a, GenAtom):
-        return E.Susp(a.k, E.gen(a.name)) if a.k else E.gen(a.name)
+        name, k = a.shown()
+        return E.Susp(k, E.gen(name)) if k else E.gen(name)
     if isinstance(a, BracketAtom):
         return E.Bracket(unflatten(dict(a.left)), unflatten(dict(a.right)))
     raise TypeError(a)
@@ -929,7 +943,8 @@ def normalize_fs(fs: dict, sig: Optional[E.Signature], db, *,
         steps += 1
         if steps > STEP_LIMIT:
             raise StepLimitExceeded(
-                f"no fixed point after {STEP_LIMIT} steps for {render(start)}")
+                f"no fixed point after {STEP_LIMIT} steps (STEP_LIMIT) for "
+                f"a sum of {len(start)} chains, {fs_size(start)} atoms")
         resolved = _try_resolve(fs, sig, db, trace)
         if resolved is not None:
             if fs:  # a snapshot: fs is the loop's working dict
@@ -971,11 +986,10 @@ def _susp_ast(e: E.Expr, k: int, db) -> E.Expr:
         decl = db.decl(e.name)
         if decl.target.is_sphere and decl.source_dim == decl.target.n:
             return E.gen(f"iota_{decl.source_dim + k}")
-        atom = susp_atom(GenAtom(e.name, 0, decl), k, db)
-        if atom.k:
-            raise NoSuspensionFamily(
-                f"{atom.name!r} has no declared suspension")
-        return E.gen(atom.name)
+        name, left = susp_atom(_gen_atom(db, e.name), k, db).shown()
+        if left:
+            raise NoSuspensionFamily(f"{name!r} has no declared suspension")
+        return E.gen(name)
     if isinstance(e, E.Compose):
         return E.Compose(_susp_ast(e.f, k, db), _susp_ast(e.g, k, db))
     if isinstance(e, E.Susp):

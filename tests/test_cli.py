@@ -308,3 +308,12 @@ def test_eval_bracket_depth_limit_is_named(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", nested_iota(8))
     assert code == 2 and out == ""
     assert "depth limit of 6" in err
+
+
+def test_eval_step_limit_names_the_input_size(capsys):
+    # (nu_4 + Snu')^12 flattens to 4,096 chains of 12 atoms; the message
+    # names that size and the limit instead of printing the sum
+    code, out, err = run(capsys, "eval", "(nu_4 + Snu')^12")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert "STEP_LIMIT" in err and "4096 chains, 49152 atoms" in err
