@@ -2,12 +2,12 @@
 
 A table is a direct sum of cyclic groups Z_d, one summand per named
 generator, with d = 0 encoding an infinite cyclic summand.  Elements are
-integer coefficient vectors reduced modulo each finite order.  Subgroups
-keep an integer row lattice in Hermite-style echelon form over the
-coefficient space, which makes membership, coset equality and exact
-orders cheap at the scale these tables have (a handful of generators).
+integer coefficient vectors reduced modulo each finite order.  Each
+subgroup keeps one Hermite normal form of its integer row lattice, so that
+equal subgroups have equal rows; it makes membership, coset equality and
+exact orders cheap at the scale these tables have (a handful of generators).
 
-A table may be partial: ``primes`` lists the primes at which the listed
+A table may be partial: ``completeness`` lists the primes at which the listed
 generators are known to exhaust the torsion.  Generators at other primes
 may still be listed; arithmetic inside their span stays exact, but global
 vanishing statements are only licensed when the relevant orders avoid the
@@ -284,103 +284,50 @@ def order_of(e: GroupElement):
             continue
         if d == 0:
             return INFINITE
-        n = n * (d // gcd(c, d)) // gcd(n, d // gcd(c, d))
+        n = math.lcm(n, d // gcd(c, d))
     return n
 
 
-class _Lattice:
-    """Row lattice over Z^n in echelon form with exact membership.
+def _hermite(vectors: Iterable[Sequence[int]], n: int) -> list[tuple]:
+    """Hermite normal form of the row lattice spanned by ``vectors`` in Z^n,
+    as (pivot column, row) pairs in pivot order.
 
-    Rows are kept with positive pivots and entries above each pivot
-    reduced, so the basis is canonical for the lattice it spans.
+    Column by column, Euclid runs among the rows that lead in that column
+    until one row is left (rows that reach 0 there wait for a later column);
+    that row is made positive and, as it is placed, the entries above its
+    pivot are reduced into [0, pivot).  Later pivots change only later
+    columns, so the form is unique: equal lattices give equal rows, in any
+    order of the vectors.  Reducing bottom-up instead would undo earlier
+    reductions: on Z^3 with generators (1,2,0), (0,2,1), (0,0,3) it gives
+    g0 + 2 g2 in that order and g0 + -1 g2 reversed.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[list[int]] = []
-
-    @staticmethod
-    def _pivot(row):
-        for j, v in enumerate(row):
-            if v:
-                return j
-        return None
-
-    def _row_with_pivot(self, j):
-        for row in self.rows:
-            if self._pivot(row) == j:
-                return row
-        return None
-
-    def add_vector(self, vec0: Sequence[int]) -> None:
-        vec = list(vec0)
-        while True:
-            j = self._pivot(vec)
-            if j is None:
-                break
-            row = self._row_with_pivot(j)
-            if row is None:
-                self.rows.append(vec)
-                break
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for jj in range(j, self.n):
-                    vec[jj] -= q * row[jj]
-            else:
-                x, y, g = _xgcd(a, b)
-                ag, mbg = a // g, -(b // g)
-                for jj in range(j, self.n):
-                    aa, bb = row[jj], vec[jj]
-                    row[jj] = x * aa + y * bb
-                    vec[jj] = mbg * aa + ag * bb
-        self._normalize()
-
-    def _normalize(self) -> None:
-        self.rows.sort(key=lambda r: self._pivot(r))
-        for row in self.rows:
-            j = self._pivot(row)
-            if row[j] < 0:
-                for jj in range(self.n):
-                    row[jj] = -row[jj]
-        # reduce entries above each pivot for a canonical basis
-        for i in range(len(self.rows) - 1, -1, -1):
-            j = self._pivot(self.rows[i])
-            p = self.rows[i][j]
-            for k in range(i):
-                q = self.rows[k][j] // p
-                if q:
-                    for jj in range(self.n):
-                        self.rows[k][jj] -= q * self.rows[i][jj]
-
-    def __contains__(self, vec0) -> bool:
-        vec = list(vec0)
-        while True:
-            j = self._pivot(vec)
-            if j is None:
-                return True
-            row = self._row_with_pivot(j)
-            if row is None or vec[j] % row[j] != 0:
-                return False
-            q = vec[j] // row[j]
-            for jj in range(j, self.n):
-                vec[jj] -= q * row[jj]
-
-    def pivots(self) -> dict:
-        return {self._pivot(r): r[self._pivot(r)] for r in self.rows}
-
-    def basis(self) -> list[tuple[int, ...]]:
-        return [tuple(r) for r in self.rows]
-
-
-def _xgcd(a: int, b: int):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
+    pending = [list(v) for v in vectors]
+    rows = []
+    for j in range(n):
+        lead = [r for r in pending if r[j]]
+        pending = [r for r in pending if not r[j]]
+        while len(lead) > 1:
+            p = min(lead, key=lambda r: abs(r[j]))
+            left = []
+            for r in lead:
+                if r is not p:
+                    q = r[j] // p[j]
+                    for k in range(j, n):
+                        r[k] -= q * p[k]
+                    (left if r[j] else pending).append(r)
+            lead = left + [p]
+        if not lead:
+            continue
+        p = lead[0]
+        if p[j] < 0:
+            p = [-x for x in p]
+        for _, r in rows:
+            q = r[j] // p[j]
+            if q:
+                for k in range(j, n):
+                    r[k] -= q * p[k]
+        rows.append((j, p))
+    return [(j, tuple(r)) for j, r in rows]
 
 
 class Subgroup:
@@ -393,38 +340,37 @@ class Subgroup:
         self.table = table
         self.generators = tuple(generators)
         n = table.rank()
-        lat = _Lattice(n)
-        for i, d in enumerate(table.orders):
-            if d:
-                row = [0] * n
-                row[i] = d
-                lat.add_vector(row)
-        for g in generators:
-            lat.add_vector(list(g.coeffs))
-        self._lattice = lat
+        order_rows = ([d if i == j else 0 for j in range(n)]
+                      for i, d in enumerate(table.orders) if d)
+        self._rows = _hermite([*order_rows, *(g.coeffs for g in generators)], n)
         self.canonical_basis = tuple(
-            e for e in (GroupElement(table, row) for row in lat.basis())
+            e for e in (GroupElement(table, row) for _, row in self._rows)
             if not e.is_zero)
         self.order = self._order()
 
     def _order(self):
-        free = [i for i, d in enumerate(self.table.orders) if d == 0]
-        for row in self._lattice.rows:
-            if any(row[i] for i in free):
-                return INFINITE
-        torsion = math.prod(d for d in self.table.orders if d)
-        piv = self._lattice.pivots()
-        covol = math.prod(piv.get(i, 1) for i, d in enumerate(self.table.orders) if d)
-        return torsion // covol
+        """Infinite when a pivot falls in a free column; otherwise the
+        torsion order over the product of the pivots."""
+        orders = self.table.orders
+        if any(orders[j] == 0 for j, _ in self._rows):
+            return INFINITE
+        torsion = math.prod(d for d in orders if d)
+        return torsion // math.prod(row[j] for j, row in self._rows)
 
     def __contains__(self, e: GroupElement) -> bool:
         if e.table != self.table:
             raise TableMismatch("membership test across tables")
-        return list(e.coeffs) in self._lattice
+        vec = list(e.coeffs)
+        for j, row in self._rows:
+            q, r = divmod(vec[j], row[j])
+            if r:
+                return False
+            for k in range(j, len(vec)):
+                vec[k] -= q * row[k]
+        return not any(vec)
 
     def same_subgroup(self, other: "Subgroup") -> bool:
-        return (self.table == other.table
-                and self._lattice.basis() == other._lattice.basis())
+        return self.table == other.table and self._rows == other._rows
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.canonical_basis) or "0"

@@ -393,10 +393,10 @@ class _Factors:
                     f"factor {i + 1} does not resolve; cannot license the "
                     f"partial table {t.key}")
             o = order_of(nf_f.element)
-            if o is INFINITE or not _prime_support_within(int(o), t.primes):
+            if o is INFINITE or not _prime_support_within(int(o), t.completeness):
                 raise UndeterminedResult(
                     f"{t.key} is only complete at primes "
-                    f"{sorted(t.primes)}; the order of factor {i + 1} does "
+                    f"{sorted(t.completeness)}; the order of factor {i + 1} does "
                     f"not license ignoring the rest")
         sig = E.Signature(M - 1, t.key.target)
         gens = []

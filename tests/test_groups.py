@@ -204,3 +204,61 @@ def test_module_doctests():
     import whiteprod.groups as G
     result = doctest.testmod(G)
     assert result.attempted == 4 and result.failed == 0
+
+
+def test_coset_equality_ignores_generator_order(db):
+    t14 = db.table(sphere(4), 14)
+    g1, g2 = t14.element((2, 3, 1, 1, 1)), t14.element((3, 1, 1, 0, 4))
+    s12, s21 = subgroup_generated([g1, g2]), subgroup_generated([g2, g1])
+    assert s12.order == s21.order == 480
+    assert s12.same_subgroup(s21)
+    assert Coset(t14.zero(), s12) == Coset(t14.zero(), s21)
+
+
+def test_canonical_basis_ignores_generator_order():
+    t = table(0, 0, 0)
+    gens = [t.element((1, 2, 0)), t.element((0, 2, 1)), t.element((0, 0, 3))]
+    forward = [str(g) for g in subgroup_generated(gens).canonical_basis]
+    backward = [str(g) for g in subgroup_generated(gens[::-1]).canonical_basis]
+    assert forward == backward == ["g0 + 2 g2", "2 g1 + g2", "3 g2"]
+
+
+@st.composite
+def _tables_with_generators(draw):
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 12]),
+                           min_size=1, max_size=4))
+    t = table(*orders)
+    coeffs = st.tuples(*(st.integers(-13, 13) for _ in orders))
+    gens = [t.element(c)
+            for c in draw(st.lists(coeffs, min_size=1, max_size=4))]
+    return t, gens
+
+
+@given(_tables_with_generators(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_subgroup_form_is_independent_of_generators(tg, data):
+    t, gens = tg
+    sub = subgroup_generated(gens, t)
+    basis = [str(g) for g in sub.canonical_basis]
+    variants = [gens[::-1], data.draw(st.permutations(gens))]
+    if len(gens) > 1:
+        variants.append(gens + [add(gens[0], gens[1])])
+    for other in variants:
+        again = subgroup_generated(other, t)
+        assert sub.same_subgroup(again)
+        assert [str(g) for g in again.canonical_basis] == basis
+        assert coset_eq(Coset(gens[0], sub), Coset(t.zero(), again))
+    if t.group_order() is not INFINITE and t.group_order() <= 2000:
+        # brute-force closure as the oracle
+        closure = {t.zero()}
+        frontier = [t.zero()]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = add(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+        assert sub.order == len(closure)
+        for e in enumerate_elements(t):
+            assert (e in sub) == (e in closure)
