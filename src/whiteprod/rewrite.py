@@ -654,18 +654,16 @@ def zero_form(sig: Optional[E.Signature], db, trace: list) -> NormalForm:
 # ---------------------------------------------------------------------------
 # the rewriting loop
 
-def _annihilator_moduli(ch: Chain, db) -> list:
-    """Known positive integers m with m * [ch] = 0."""
-    moduli = []
+def chain_annihilator(ch: Chain, db) -> int:
+    """gcd of the known positive integers m with m * [ch] = 0 (0 when none
+    is known)."""
     atoms = ch.atoms
     n = len(atoms)
     if n == 0:
-        return moduli
+        return 0
     # a scalar always moves into any suffix: use declared order facts and
-    # the last factor's own order
-    last = atoms[-1]
-    if last.order:
-        moduli.append(last.order)
+    # the last factor's own order (an order of 0 leaves the gcd as it is)
+    g = atoms[-1].order
     # (only the chain lengths that carry order facts are probed, longest
     # suffix first and shortest prefix first, the order of a full scan)
     lengths = db.fact_lengths
@@ -673,33 +671,24 @@ def _annihilator_moduli(ch: Chain, db) -> list:
         if 0 < size <= n:
             fact = db.order_fact(ch.suffix(n - size))
             if fact is not None:
-                moduli.append(fact)
+                g = gcd(g, fact)
     # across an all-suspension tail atoms[i:] the scalar also moves onto
     # the prefix; one backward pass finds the longest such tail
     tail = n
     while tail > 1 and atoms[tail - 1].is_susp:
         tail -= 1
-    if tail == 1 < n and atoms[0].order:
-        moduli.append(atoms[0].order)
+    if tail == 1 < n:
+        g = gcd(g, atoms[0].order)
     for size in lengths:
         if tail <= size < n:
             fact = db.order_fact(ch.prefix(size))
             if fact is not None:
-                moduli.append(fact)
+                g = gcd(g, fact)
     # table basis chains carry their table order
     hit = db.basis_lookup(ch)
     if hit is not None:
         table, idx = hit
-        if table.orders[idx]:
-            moduli.append(table.orders[idx])
-    return moduli
-
-
-def chain_annihilator(ch: Chain, db) -> int:
-    """gcd of all known annihilators (0 when none is known)."""
-    g = 0
-    for m in _annihilator_moduli(ch, db):
-        g = gcd(g, m)
+        g = gcd(g, table.orders[idx])
     return g
 
 

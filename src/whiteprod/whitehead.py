@@ -6,8 +6,11 @@ combine bilinearity over sphere domains (and a finite target's exponent),
 the relatively-prime-orders rule, ground bracket relations, naturality
 across a common head factor, and the smash factorization
 [f . Sa, g . Sb] = [f, g] . S(a ^ b); ``evaluate`` expands the bracket
-atoms of a residue the same way.  Everything that cannot be certified
-comes back as a residue, never as a guess.
+atoms of a residue the same way, in rounds: each round replaces one
+bracket atom by its value and normalizes the new sum, so only nesting
+deepens the evaluation, and ``rewrite.STEP_LIMIT`` bounds the rounds.
+Everything that cannot be certified comes back as a residue, never as a
+guess.
 
 Higher products are set-valued; the operations here compute the three
 things the coset calculus pins down exactly: emptiness (a nonvanishing
@@ -35,7 +38,8 @@ from typing import Optional, Sequence
 from . import expr as E
 from . import rewrite as R
 from .errors import (DegreeMismatch, DepthLimitExceeded, MissingTable,
-                     MixedTargets, UndeterminedResult, UnknownQuery)
+                     MixedTargets, StepLimitExceeded, UndeterminedResult,
+                     UnknownQuery)
 from .groups import (INFINITE, Coset, GroupElement, GroupTable, Space,
                      Subgroup, TableGen, TableKey, order_of, sphere,
                      subgroup_generated, torsion_family)
@@ -76,30 +80,44 @@ def evaluate_fs(fs: dict, sig: Optional[E.Signature], db, *,
 
 
 def _expand_brackets(nf: R.NormalForm, db, trace, depth) -> R.NormalForm:
-    """Replace the first bracket atom of a residue (in Chain.key order, then
-    left to right) whose value differs from it, and evaluate again."""
-    if nf.is_resolved or not nf.fs:
-        return nf
-    for ch in sorted(nf.fs, key=R.Chain.key):
-        for i, atom in enumerate(ch.atoms):
-            if not isinstance(atom, R.BracketAtom):
-                continue
+    """Round by round, replace the first bracket atom of a residue (in
+    Chain.key order, then left to right) whose value differs from it, and
+    normalize the new sum.  Only a bracket's arguments and its value are
+    evaluated one level deeper, so ``depth`` counts nesting; STEP_LIMIT
+    bounds the rounds."""
+    start = nf.fs
+    rounds = 0
+    while not nf.is_resolved and nf.fs:
+        atoms = ((ch, i, atom) for ch in sorted(nf.fs, key=R.Chain.key)
+                 for i, atom in enumerate(ch.atoms)
+                 if isinstance(atom, R.BracketAtom))
+        for ch, i, atom in atoms:
             single = R.Chain((atom,), atom.dom, atom.space)
             nf_f, nf_g = (evaluate_fs(dict(arg), arg[0][0].signature, db,
                                       trace=trace, _depth=depth + 2)
                           for arg in (atom.left, atom.right))
             value = _bracket_nf(nf_f, nf_g, single.signature, db, trace,
                                 depth + 1, single).fs
-            if value == {single: 1}:
-                continue
-            out = R.splice(ch, i, i + 1, value)
-            if out is None:
-                return R.residue(nf.fs, nf.signature, "blocked-linearity",
-                                 trace)
-            rest = {w: c for w, c in nf.fs.items() if w != ch}
-            fs = R.fs_add(rest, R.fs_scale(out, nf.fs[ch]))
-            return evaluate_fs(fs, nf.signature, db, trace=trace,
-                               _depth=depth + 1)
+            if value != {single: 1}:
+                break
+        else:
+            return nf
+        out = R.splice(ch, i, i + 1, value)
+        if out is None:
+            return R.residue(nf.fs, nf.signature, "blocked-linearity", trace)
+        rounds += 1
+        if rounds > R.STEP_LIMIT:
+            raise StepLimitExceeded(
+                f"bracket expansion did not stop after {R.STEP_LIMIT} rounds "
+                f"(STEP_LIMIT) for a residue of {len(start)} chains, "
+                f"{R.fs_size(start)} atoms")
+        fs = dict(nf.fs)
+        c = fs.pop(ch)
+        for w, d in out.items():
+            fs[w] = fs.get(w, 0) + c * d
+            if not fs[w]:
+                del fs[w]
+        nf = R.normalize_fs(fs, nf.signature, db, trace=trace)
     return nf
 
 
@@ -190,8 +208,6 @@ def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db,
                 ("coefficient {} = {} (mod {}) across the bracket", k, k2, ge),
                 ("{} [{}, {}]", k, u, v), ("{} [{}, {}]", k2, u, v)))
             k = k2
-    if k == 0:
-        return {}
 
     ground = _ground_bracket(k, u, v, db, trace)
     if ground is not None:
@@ -540,8 +556,7 @@ def triple_coset_constraints(spec: ProductSpec, db, *, _depth: int = 0,
             reason="no factor order is relatively prime to |J|; cannot pick "
                    "a torsion representative")
     m0 = coprime_ms[0]
-    if J.order is not INFINITE:
-        constraints.append(f"{m0 * int(J.order)}*alpha = 0")
+    constraints.append(f"{m0 * int(J.order)}*alpha = 0")
     candidates = torsion_family(table, m0)
     notes.append(f"representative chosen with {m0}*alpha' = 0 "
                  f"(gcd({m0}, |J|) = 1)")
