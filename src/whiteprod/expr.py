@@ -17,7 +17,7 @@ from .errors import DegreeMismatch, MixedTargets, UnknownGenerator
 from .groups import Space, sphere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     source_dim: int
     target: Space

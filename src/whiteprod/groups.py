@@ -34,7 +34,7 @@ INFINITE = math.inf
 SPACE_KINDS = ("S", "RP", "CP", "HP")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Space:
     """A target space tag: the sphere S^n or a projective space FP^n."""
 
@@ -90,7 +90,7 @@ class GeneratorDecl:
         return self.suspension_of is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableKey:
     target: Space
     k: int

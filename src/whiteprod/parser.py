@@ -31,7 +31,7 @@ _SYMBOLS = ".^+-*[](),"
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Tok:
     kind: str  # NAME INT SYM SUSP HIGHER COMPOSE END
     text: str

@@ -55,8 +55,10 @@ classes: a fixed left factor is linear in the right factor, while sums
 and scalar multiples may cross a right factor only when that factor is a
 suspension class.  Compositions blocked by that rule come back as a
 Residue, never as a silently wrong answer.  A residue is kept as its
-formal sum and rendered as an expression only when shown; chains, being
-frozen values, are their own dictionary keys.
+formal sum and rendered as an expression only when shown.  Atoms and
+chains are their own dictionary keys: they are not frozen, for cheaper
+constructors, but no field of theirs is assigned after construction (a
+chain's cached hash aside), which ``tests/test_value_types.py`` checks.
 
 Trace rendering costs nothing until a trace is read: a ``TraceStep``
 stores the chains, formal sums and integers its rule acted on, and a
@@ -85,11 +87,13 @@ FLATTEN_LIMIT = 200_000  # atoms in one formal sum built by ``flatten``
 # ---------------------------------------------------------------------------
 # atoms and chains
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GenAtom:
     """Sigma^k of a declared generator: equal and hashed by (name, k),
     shown and sorted by ``shown``; everything else is read from the
-    declaration, except ``is_susp``, which is stored when the atom is made."""
+    declaration, except ``is_susp``, which is stored when the atom is made.
+    Not frozen, for a cheaper constructor, but never assigned after it:
+    ``tests/test_value_types.py`` checks the source for that."""
 
     name: str
     k: int
@@ -97,8 +101,7 @@ class GenAtom:
     is_susp: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "is_susp",
-                           self.k > 0 or self.decl.is_suspension)
+        self.is_susp = self.k > 0 or self.decl.is_suspension
 
     @property
     def dom(self) -> int:
@@ -155,20 +158,23 @@ class BracketAtom:
                 tuple([(ch.key(), c) for ch, c in self.right]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Chain:
     """A composition f1 . f2 . ... . fk; empty = the identity of S^dom.
-    Its hash walks the atoms once, on first use, and is kept."""
+    Its hash walks the atoms once, on first use, and is kept in ``_hash``.
+    Not frozen, for a cheaper constructor, but no field is assigned after
+    it, ``_hash`` aside: ``tests/test_value_types.py`` checks the source
+    for that."""
 
     atoms: tuple
     dom: int
     space: Space
-    _hash = None  # not a field: the first __hash__ stores it on the instance
+    _hash: Optional[int] = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash((self.atoms, self.dom, self.space)))
+            self._hash = hash((self.atoms, self.dom, self.space))
         return self._hash
 
     def key(self):

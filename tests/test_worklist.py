@@ -265,3 +265,14 @@ def test_a_match_at_the_first_window_reads_nothing_further(monkeypatch):
     probes, roots = _counting(monkeypatch)
     assert R.normalize(parse("eta_7^300"), db).fs == {}
     assert len(probes) <= 3 and len(roots) <= 3
+
+
+def test_a_power_of_a_two_atom_product_takes_one_relation_step_per_factor():
+    """(eta_4 . nu_5)^k is zero after exactly k + 1 relation steps.  The
+    step count is pinned, not the cost: each step's scan reads the whole
+    new chain, so the time grows about quadratically in k."""
+    db = _shipped_db()
+    for k in range(2, 41):
+        nf = R.normalize(parse(f"(eta_4 . nu_5)^{k}"), db)
+        assert nf.is_zero
+        assert sum(step.rule == "relation" for step in nf.trace) == k + 1
