@@ -9,9 +9,15 @@ Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error or
 calculation limit, 3 unresolved residue (printed), 4 I/O error or malformed
 relations file.  ``scenario`` exits 1 on a failed expectation, 2 on a
 typecheck or other calculation error, 4 on an unknown name, I/O error or
-malformed relations file; ``fatwedge`` exits 2 on bad dimensions, levels or
-another calculation error.  ``main`` maps every error to its code in one place.  Results go to
-stdout, diagnostics to stderr; JSON output is stable across runs.
+malformed relations file; ``fatwedge`` exits 2 on bad dimensions (not
+integers, or below 1), bad levels, a listing of more than
+``fatwedge.LIST_LIMIT`` entries (basis subsets, plus their products with
+``--products --format json``), or another calculation error.  Its Betti
+numbers come from one big-integer product (a dict over degrees when a
+dimension is large), so they never list the basis, and the limit is
+checked from binomial coefficients before anything is built.  ``main``
+maps every error to its code in one place.  Results go to stdout,
+diagnostics to stderr; JSON output is stable across runs.
 """
 
 from __future__ import annotations
@@ -111,11 +117,14 @@ def _cmd_fatwedge(args) -> int:
         if len(levels) != 2:
             raise BadLevels(f"--levels wants A,B, got {args.levels!r}")
         ring = F.ring(*levels, tup)
-        payload = ring.to_json(with_products=args.products)
-        lines = [str(ring)]
-        for s in ring.basis:
-            lines.append(f"  x{sorted(s)}  degree {ring.degree(s)}")
-        lines.append(f"betti: {ring.betti()}")
+        if args.format == "json":
+            payload, lines = ring.to_json(with_products=args.products), []
+        else:  # products are listed in JSON only
+            payload = None
+            lines = [str(ring)]
+            for s in ring.basis:
+                lines.append(f"  x{sorted(s)}  degree {ring.degree(s)}")
+            lines.append(f"betti: {ring.betti()}")
     _emit(payload, args.format, lines)
     return 0
 

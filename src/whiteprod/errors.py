@@ -89,3 +89,7 @@ class ExprSyntaxError(CalcError):
         self.line = line
         self.column = column
         super().__init__(f"{message} (line {line}, column {column})")
+
+
+class ListingLimitExceeded(CalcError):
+    """A basis listing would hold more entries than its limit."""

@@ -9,17 +9,40 @@ Koszul sign, truncated to the basis.  No torsion arises, so integer
 coefficients suffice.
 
 A ring is its sphere tuple and its two levels: basis membership is the
-size test itself, and the Betti numbers are counted from the generating
-polynomial prod_i (1 + x t^{m_i}).  The basis is listed only for output.
+size test itself, and the Betti numbers are the coefficients of the
+generating polynomial prod_i (1 + x t^{m_i}).  While one row of it fits in
+PACK_ROW bits the polynomial is evaluated as one Python integer (Kronecker
+substitution); past that, where a packed integer would grow with the
+dimensions themselves, it is kept as a dict over the degrees that occur
+(see ``QuotientRing.betti``).  The basis is listed only for output, and a
+listing of more than LIST_LIMIT entries (basis subsets, plus their ordered
+pairs when products are asked for) is refused with ``ListingLimitExceeded``
+before anything is built, counted from binomial coefficients alone; the
+CLI exits 2 on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
-from .errors import BadLevels, NotInRing
+from .errors import BadLevels, ListingLimitExceeded, NotInRing
+
+# Entries one listing may hold: the basis subsets, plus their ordered pairs
+# when products are asked for.  Every ring of r <= 16 spheres lists its
+# basis, and every ring of r <= 8 lists its products too (247 + 247^2).
+LIST_LIMIT = 1 << 16
+
+# Bits in one row of ``betti``'s packed product, (r + 1)(D + 1) for r
+# spheres of top degree D = sum(m_i), up to which the generating polynomial
+# is packed into one integer.  That integer has r + 1 rows, under 100 KB
+# (r + 1 <= 90 here, as D >= r), so its r shifts and the readout of one row
+# take a few milliseconds at worst.  Every tuple of small dimensions packs;
+# larger ones count by degree, in memory that grows with the number of
+# distinct degrees and not with the dimensions.
+PACK_ROW = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -29,6 +52,9 @@ class SphereTuple:
     def __post_init__(self):
         if len(self.dims) < 2:
             raise BadLevels("a sphere tuple needs r >= 2 factors")
+        if any(not isinstance(m, int) or isinstance(m, bool)
+               for m in self.dims):
+            raise BadLevels("sphere dimensions must be integers")
         if any(m < 1 for m in self.dims):
             raise BadLevels("sphere dimensions must be >= 1")
 
@@ -102,9 +128,18 @@ class QuotientRing:
 
     @property
     def basis(self) -> tuple:
-        """The basis subsets by size, then lexicographically."""
-        return tuple(frozenset(c) for k in self._sizes
-                     for c in combinations(range(1, self.tuple.r + 1), k))
+        """The basis subsets by size, then lexicographically; refused with
+        ListingLimitExceeded past LIST_LIMIT subsets."""
+        self._check_listing()
+        return tuple(self._listing())
+
+    def _listing(self):
+        r = self.tuple.r
+        return (frozenset(c) for k in self._sizes
+                for c in combinations(range(1, r + 1), k))
+
+    def _rank(self) -> int:
+        return sum(comb(self.tuple.r, k) for k in self._sizes)
 
     def generator(self, subset: Iterable[int]) -> CohomClass:
         s = frozenset(subset)
@@ -115,28 +150,68 @@ class QuotientRing:
     def degree(self, subset: frozenset) -> int:
         return self.tuple.degree(subset)
 
+    def _sign(self, s: frozenset, t: frozenset) -> int:
+        """x_s x_t = sign * x_{s|t}: 0 when s and t meet or their union
+        leaves the basis, else the Koszul sign."""
+        if s & t or not self._holds(s | t):
+            return 0
+        return _koszul_sign(s, t, self.tuple.dims)
+
     def betti(self) -> dict:
         """Ranks by ascending degree: the coefficients of x^k t^d in
-        prod_i (1 + x t^{m_i}), summed over the basis sizes k."""
-        counts = [{0: 1}]  # counts[k][d]: subsets of size k and degree d
-        for m in self.tuple.dims:
-            counts.append({})
-            for k in range(len(counts) - 1, 0, -1):
-                for d, n in counts[k - 1].items():
-                    counts[k][d + m] = counts[k].get(d + m, 0) + n
-        out: dict[int, int] = {}
-        for k in self._sizes:
-            for d, n in counts[k].items():
-                out[d] = out.get(d, 0) + n
-        return dict(sorted(out.items()))
+        prod_i (1 + x t^{m_i}), summed over the basis sizes k.
+
+        While a row of w (D + 1) bits fits in PACK_ROW, the product is one
+        Python integer at t = 2^w and x = 2^(w (D + 1)), where D = sum m_i
+        is the top degree and w = r + 1 bits hold one coefficient.  Every
+        coefficient, and every sum over sizes at one degree, counts distinct
+        subsets of {1..r}, so it stays below 2^r and no field carries into
+        the next.  Each sphere is one shift and one add; the rows of the
+        basis sizes are masked out and summed, and the degrees read off from
+        the bottom field up.  Past PACK_ROW the coefficients are counted in
+        dicts over the sizes and degrees that occur, so a large dimension
+        costs no memory.  ``basis`` and ``to_json`` bound their listings by
+        binomial coefficients and never call this."""
+        dims = self.tuple.dims
+        w = len(dims) + 1
+        row = w * (sum(dims) + 1)  # bits per power of x
+        if row > PACK_ROW:
+            return _betti_by_degree(dims, self._sizes)
+        poly = 1
+        for m in dims:
+            poly += poly << (row + w * m)
+        poly >>= row * self._min
+        total = 0
+        for _ in self._sizes:
+            total += poly & ((1 << row) - 1)
+            poly >>= row
+        out, field, d = {}, (1 << w) - 1, 0
+        while total:
+            if total & field:
+                out[d] = total & field
+            total >>= w
+            d += 1
+        return out
+
+    def _check_listing(self, with_products: bool = False) -> None:
+        """Refuse a listing of the basis (and of its products) that would
+        hold more than LIST_LIMIT entries, before building any of it."""
+        n = self._rank()
+        entries = n + n * n if with_products else n
+        if entries > LIST_LIMIT:
+            what = f" and their {n * n} products" if with_products else ""
+            raise ListingLimitExceeded(
+                f"listing {n} basis classes{what} exceeds LIST_LIMIT = "
+                f"{LIST_LIMIT} entries")
 
     def __str__(self):
         a, b = self.levels
-        rank = sum(self.betti().values())
-        return f"H*(T_{a}/T_{b}) of spheres {self.tuple.dims}: {rank} classes"
+        return (f"H*(T_{a}/T_{b}) of spheres {self.tuple.dims}: "
+                f"{self._rank()} classes")
 
     def to_json(self, with_products: bool = False) -> dict:
-        basis = self.basis
+        self._check_listing(with_products)
+        basis = tuple(self._listing())
         out = {
             "dims": list(self.tuple.dims),
             "levels": list(self.levels),
@@ -157,6 +232,22 @@ def ring(a: int, b: int, tuple_: SphereTuple) -> QuotientRing:
     return QuotientRing(tuple_, a, b)
 
 
+def _betti_by_degree(dims: tuple, sizes: range) -> dict:
+    """``betti`` past PACK_ROW: counts[k][d] holds the subsets of size k
+    and degree d, one dict entry per pair that occurs."""
+    counts = [{0: 1}]
+    for m in dims:
+        counts.append({})
+        for k in range(len(counts) - 1, 0, -1):
+            for d, n in counts[k - 1].items():
+                counts[k][d + m] = counts[k].get(d + m, 0) + n
+    out: dict = {}
+    for k in sizes:
+        for d, n in counts[k].items():
+            out[d] = out.get(d, 0) + n
+    return dict(sorted(out.items()))
+
+
 def _koszul_sign(s: frozenset, t: frozenset, dims: tuple) -> int:
     """Sign of the degree-weighted shuffle merging s before t."""
     odd = sum(dims[i - 1] * dims[j - 1] for i in s for j in t if i > j)
@@ -169,13 +260,11 @@ def cup(x: CohomClass, y: CohomClass, ring_: QuotientRing) -> CohomClass:
         if not ring_._holds(s):
             raise NotInRing(f"{sorted(s)} is not in the ring's span")
     out: dict = {}
-    dims = ring_.tuple.dims
     for s, c in x.coeffs.items():
         for t, d in y.coeffs.items():
-            u = s | t
-            if s & t or not ring_._holds(u):
-                continue
-            out[u] = out.get(u, 0) + c * d * _koszul_sign(s, t, dims)
+            sign = ring_._sign(s, t)
+            if sign:
+                out[s | t] = out.get(s | t, 0) + c * d * sign
     return CohomClass(out)  # drops the coefficients that cancelled
 
 
@@ -225,13 +314,9 @@ def omega_nontriviality(tuple_: SphereTuple) -> Witness:
     r = tuple_.r
     full = QuotientRing(tuple_, 0, r, _allow_full=True)
     fat = QuotientRing(tuple_, 1, r, _allow_full=True)
-    everything = frozenset(range(1, r + 1))
-    s = frozenset({1})
-    t = everything - s
-    dead = cup(CohomClass({s: 1}), CohomClass({t: 1}), fat)
-    live = cup(CohomClass({s: 1}), CohomClass({t: 1}), full)
-    if not dead.is_zero or live.is_zero:
+    s, t = frozenset({1}), frozenset(range(2, r + 1))
+    if fat._sign(s, t) or not full._sign(s, t):
         # an internal invariant, not an input error: let it surface
         raise AssertionError("bottom-cell witness failed; the model is broken")
-    return Witness(tuple(sorted(s)), tuple(sorted(t)),
-                   tuple_.degree(everything), fat.levels, full.levels)
+    return Witness((1,), tuple(range(2, r + 1)), sum(tuple_.dims),
+                   fat.levels, full.levels)
