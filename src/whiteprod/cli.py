@@ -102,14 +102,12 @@ def _cmd_fatwedge(args) -> int:
     tup = F.sphere_tuple(*dims)
     if args.r is not None and args.r != tup.r:
         raise BadLevels(f"--r {args.r} disagrees with {tup.r} dims")
-    if args.obstruction:
-        w = F.retraction_obstruction(tup)
-        payload = {"dims": list(dims), "witness": w.to_json() if w else None}
-        lines = [f"witness: {w.to_json()}" if w else "witness: none"]
-    elif args.omega:
-        w = F.omega_nontriviality(tup)
-        payload = {"dims": list(dims), "witness": w.to_json()}
-        lines = [f"witness: {w.to_json()}"]
+    if args.obstruction or args.omega:
+        w = (F.retraction_obstruction(tup) if args.obstruction
+             else F.omega_nontriviality(tup))
+        witness = w.to_json() if w else None
+        payload = {"dims": list(dims), "witness": witness}
+        lines = [f"witness: {witness or 'none'}"]
     else:
         if args.levels is None:
             raise BadLevels("choose --levels A,B, --obstruction or --omega")

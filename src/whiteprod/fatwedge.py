@@ -19,6 +19,10 @@ listing of more than LIST_LIMIT entries (basis subsets, plus their ordered
 pairs when products are asked for) is refused with ``ListingLimitExceeded``
 before anything is built, counted from binomial coefficients alone; the
 CLI exits 2 on it.
+
+Both witnesses (the retraction obstruction and the omega pair) are closed
+forms: one complementary pair whose product the cup rule checks dead in
+one ring and alive in another.
 """
 
 from __future__ import annotations
@@ -283,40 +287,42 @@ class Witness:
                 "nonvanishing_ring": list(self.nonvanishing_ring)}
 
 
-def retraction_obstruction(tuple_: SphereTuple) -> Optional[Witness]:
-    """First complementary pair killed in T_1/T_{r-1} but alive in T_0/T_{r-1}.
+def _checked_witness(tuple_: SphereTuple, left: tuple, right: tuple,
+                     dead: tuple, live: tuple) -> Witness:
+    """The complementary pair (left, right), checked by the cup rule: its
+    product, the top class of degree sum m_i, is zero in the ring at the
+    levels ``dead`` and nonzero in the ring at ``live``."""
+    killed = QuotientRing(tuple_, *dead, _allow_full=True)
+    alive = QuotientRing(tuple_, *live, _allow_full=True)
+    s, t = frozenset(left), frozenset(right)
+    if killed._sign(s, t) or not alive._sign(s, t):
+        # an internal invariant, not an input error: let it surface
+        raise AssertionError(f"witness {left}, {right} failed the cup rule; "
+                             "the model is broken")
+    return Witness(left, right, sum(tuple_.dims), killed.levels, alive.levels)
 
-    A witness exists exactly when r >= 4: both halves need at least two
-    indices for their classes to survive the quotient by the wedge.
+
+def retraction_obstruction(tuple_: SphereTuple) -> Optional[Witness]:
+    """The pair ({1, 2}, {3..r}), killed in T_1/T_{r-1} but alive in
+    T_0/T_{r-1}, or None when r < 4; checked by the cup rule.
+
+    Each half of a complementary pair needs 2 to r - 1 indices to be a
+    class of T_1/T_{r-1}, so no pair exists for r < 4.  For r >= 4 the
+    halves {1, 2} and {3..r} qualify, and their union has size r: a class
+    of T_0/T_{r-1} but not of T_1/T_{r-1}.  It is the first complementary
+    pair by size, then lexicographically.
     """
     r = tuple_.r
     if r < 4:
-        return None  # complementary pairs need two indices on each side
-    killed = QuotientRing(tuple_, 1, r - 1)
-    alive = QuotientRing(tuple_, 0, r - 1)
-    everything = frozenset(range(1, r + 1))
-    for size in range(2, r - 1):
-        for left in combinations(range(1, r + 1), size):
-            s = frozenset(left)
-            t = everything - s
-            dead = cup(CohomClass({s: 1}), CohomClass({t: 1}), killed)
-            live = cup(CohomClass({s: 1}), CohomClass({t: 1}), alive)
-            if dead.is_zero and not live.is_zero:
-                return Witness(tuple(sorted(s)), tuple(sorted(t)),
-                               tuple_.degree(everything),
-                               killed.levels, alive.levels)
-    return None
+        return None
+    return _checked_witness(tuple_, (1, 2), tuple(range(3, r + 1)),
+                            (1, r - 1), (0, r - 1))
 
 
 def omega_nontriviality(tuple_: SphereTuple) -> Witness:
     """The bottom-cell pair ({1}, {2..r}): zero against the fat wedge's
-    classes, nonzero in the full product."""
+    classes in T_1/T_r, nonzero in the full product T_0/T_r; checked by the
+    cup rule."""
     r = tuple_.r
-    full = QuotientRing(tuple_, 0, r, _allow_full=True)
-    fat = QuotientRing(tuple_, 1, r, _allow_full=True)
-    s, t = frozenset({1}), frozenset(range(2, r + 1))
-    if fat._sign(s, t) or not full._sign(s, t):
-        # an internal invariant, not an input error: let it surface
-        raise AssertionError("bottom-cell witness failed; the model is broken")
-    return Witness((1,), tuple(range(2, r + 1)), sum(tuple_.dims),
-                   fat.levels, full.levels)
+    return _checked_witness(tuple_, (1,), tuple(range(2, r + 1)), (1, r),
+                            (0, r))

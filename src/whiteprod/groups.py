@@ -173,23 +173,19 @@ class GroupTable:
     def __hash__(self):
         return hash((self.key, self.gens, self.completeness))
 
+    def _summands(self) -> str:
+        """The summands as Z<d>{label} (Z alone when infinite), or 0."""
+        return " + ".join(f"Z{g.order or ''}{{{g.label}}}"
+                          for g in self.gens) or "0"
+
     def __str__(self) -> str:
-        if not self.gens:
-            return f"{self.key} = 0"
-        parts = []
-        for g in self.gens:
-            cyc = "Z" if g.order == 0 else f"Z{g.order}"
-            parts.append(f"{cyc}{{{g.label}}}")
-        return f"{self.key} = " + " + ".join(parts)
+        return f"{self.key} = {self._summands()}"
 
     def to_text(self) -> str:
         head = f"group {self.key.target} k={self.key.k}"
         if not self.is_full:
             head += " partial=" + ",".join(str(p) for p in sorted(self.completeness))
-        body = " + ".join(
-            ("Z" if g.order == 0 else f"Z{g.order}") + "{" + g.label + "}"
-            for g in self.gens) or "0"
-        line = f"{head} = {body}"
+        line = f"{head} = {self._summands()}"
         if self.provenance:
             line += f' src="{self.provenance}"'
         return line

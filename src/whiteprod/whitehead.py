@@ -111,13 +111,10 @@ def _expand_brackets(nf: R.NormalForm, db, trace, depth) -> R.NormalForm:
                 f"bracket expansion did not stop after {R.STEP_LIMIT} rounds "
                 f"(STEP_LIMIT) for a residue of {len(start)} chains, "
                 f"{R.fs_size(start)} atoms")
-        fs = dict(nf.fs)
-        c = fs.pop(ch)
-        for w, d in out.items():
-            fs[w] = fs.get(w, 0) + c * d
-            if not fs[w]:
-                del fs[w]
-        nf = R.normalize_fs(fs, nf.signature, db, trace=trace)
+        rest = dict(nf.fs)
+        c = rest.pop(ch)
+        nf = R.normalize_fs(R.fs_add(rest, R.fs_scale(out, c)), nf.signature,
+                            db, trace=trace)
     return nf
 
 

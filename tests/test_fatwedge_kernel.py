@@ -1,7 +1,8 @@
 """The fat-wedge kernels: Betti numbers from one big-integer product (and
-by degree past PACK_ROW), the cup rule's sign, the omega witness, and the
+by degree past PACK_ROW), the cup rule's sign, both witnesses, and the
 listing limit."""
 
+import json
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import whiteprod.fatwedge as F
 from whiteprod.errors import BadLevels, ListingLimitExceeded
 from whiteprod.fatwedge import (LIST_LIMIT, CohomClass, QuotientRing, cup,
-                                omega_nontriviality, ring, sphere_tuple)
+                                omega_nontriviality, retraction_obstruction,
+                                ring, sphere_tuple)
 
 # PACK_ROW values that send every tuple down one path of ``betti``
 PATHS = {"packed": 1 << 62, "by_degree": 0}
@@ -153,6 +155,50 @@ def test_omega_matches_the_two_cup_reference():
             assert got == _reference_omega(t), dims
 
 
+def _searched_obstruction(t):
+    """The retraction obstruction as a search: the first complementary pair,
+    by size and then lexicographically, whose two cup products die in
+    T_1/T_{r-1} and live in T_0/T_{r-1}; None when no pair does."""
+    r = t.r
+    if r < 4:
+        return None
+    killed = QuotientRing(t, 1, r - 1)
+    alive = QuotientRing(t, 0, r - 1)
+    everything = frozenset(range(1, r + 1))
+    for size in range(2, r - 1):
+        for left in combinations(range(1, r + 1), size):
+            s = frozenset(left)
+            u = everything - s
+            dead = cup(CohomClass({s: 1}), CohomClass({u: 1}), killed)
+            live = cup(CohomClass({s: 1}), CohomClass({u: 1}), alive)
+            if dead.is_zero and not live.is_zero:
+                return (tuple(sorted(s)), tuple(sorted(u)),
+                        t.degree(everything), killed.levels, alive.levels)
+    return None
+
+
+def _witness_tuple(w):
+    return None if w is None else (w.left, w.right, w.degree,
+                                   w.vanishing_ring, w.nonvanishing_ring)
+
+
+def test_obstruction_matches_the_search_reference():
+    tuples = [dims for r in range(2, 8)
+              for dims in product((1, 2, 3), repeat=r)] + [(2,) * 64]
+    for dims in tuples:
+        t = sphere_tuple(*dims)
+        want = _searched_obstruction(t)
+        assert _witness_tuple(retraction_obstruction(t)) == want, dims
+        assert (want is None) == (t.r < 4), dims
+
+
+def test_both_witnesses_fail_loudly_when_the_cup_rule_breaks(monkeypatch):
+    monkeypatch.setattr(QuotientRing, "_sign", lambda self, s, t: 0)
+    for witness in (retraction_obstruction, omega_nontriviality):
+        with pytest.raises(AssertionError):
+            witness(sphere_tuple(2, 2, 2, 2))
+
+
 def _shuffle_sign(s: frozenset, t: frozenset, dims: tuple) -> int:
     """Sort the word s then t by adjacent swaps; each swap of i past j
     costs (-1)^(m_i m_j)."""
@@ -281,3 +327,15 @@ def test_cli_lists_products_in_json_only():
     js = _cli("--format", "json", "fatwedge", "--dims", dims, "--levels",
               "0,8", "--products")
     assert js.returncode == 2 and "LIST_LIMIT" in js.stderr
+
+
+@pytest.mark.parametrize("dims, left", [("2,2,2,2", [1, 2]), ("2,2,2", None)])
+def test_cli_obstruction_wins_over_omega(dims, left):
+    done = _cli("--format", "json", "fatwedge", "--dims", dims,
+                "--obstruction", "--omega")
+    assert done.returncode == 0, done.stderr
+    witness = json.loads(done.stdout)["witness"]
+    assert (witness and witness["left"]) == left
+    text = _cli("fatwedge", "--dims", dims, "--obstruction", "--omega")
+    assert text.stdout.startswith("witness: {'left': [1, 2]" if left
+                                  else "witness: none")

@@ -10,6 +10,8 @@ from whiteprod.groups import (Coset, GroupElement, GroupTable, INFINITE,
                               Space, TableGen, TableKey, add, coset_eq,
                               enumerate_elements, order_of, sphere,
                               subgroup_generated, torsion_family)
+from whiteprod.parser import parse
+from whiteprod.whitehead import indeterminacy, product_spec
 
 
 def table(*orders, key=None):
@@ -262,3 +264,23 @@ def test_subgroup_form_is_independent_of_generators(tg, data):
         assert sub.order == len(closure)
         for e in enumerate_elements(t):
             assert (e in sub) == (e in closure)
+
+
+def test_table_text_pins(db):
+    t7, t10 = db.table(sphere(4), 7), db.table(sphere(6), 10)
+    assert str(t7) == "pi_7(S4) = Z{nu_4} + Z4{Snu'} + Z3{alpha1(4)}"
+    assert str(t10) == "pi_10(S6) = 0"
+    assert t7.to_text() == ("group S4 k=7 = Z{nu_4} + Z4{Snu'} + "
+                            "Z3{alpha1(4)} src=\"toda: pi_7(S4) = Z + Z12\"")
+    assert t10.to_text() == ("group S6 k=10 = 0 "
+                             "src=\"external (pi_10(S6) = 0)\"")
+
+
+def test_subgroup_and_coset_text_pins(db):
+    spec = product_spec(parse("eta_4"), parse("eta_4^2"), parse("2 iota_4"))
+    J = indeterminacy(spec, db)
+    pinned = ("<[iota_4, iota_4] . alpha2(7), [iota_4, iota_4] . alpha1'(7)>"
+              " of order 15 in pi_14(S4)")
+    assert str(J) == pinned
+    rep = J.table.element((4, 0, 0, 0, 0))
+    assert str(Coset(rep, J)) == "4 nu_4 . sigma' + " + pinned

@@ -11,6 +11,7 @@ from whiteprod.expr import (Bracket, Compose, Gen, HigherBracket, Power,
                             format_expr, gen, typecheck)
 from whiteprod.groups import sphere
 from whiteprod.parser import MAX_NESTING, parse
+from whiteprod.rewrite import normalize
 
 
 def test_parse_composition():
@@ -170,3 +171,16 @@ def test_gen_is_the_bare_name():
     # where a relation needs it, never stored on the node
     assert gen("eta_4") == Gen("eta_4")
     assert parse("alpha2(4)") == Gen("alpha2(4)")
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("eta_4 . 0", "eta_4 . (0)"),
+    ("S 0", "S (0)"),
+    ("S^2 0 . eta_4", "S^2 (0) . eta_4"),
+])
+def test_zero_atom_round_trips_and_evaluates_to_zero(db, text, shown):
+    e = parse(text)
+    assert format_expr(e) == shown
+    assert parse(shown) == e
+    nf = normalize(e, db)
+    assert nf.is_resolved and nf.display() == "0"

@@ -354,3 +354,19 @@ def test_equal_chains_hash_equal(db):
     for ch in built:
         assert ch == direct and hash(ch) == hash(direct)
         assert {direct: 1}[ch] == 1
+
+
+def test_annihilator_from_a_prefix_order_fact(db):
+    # nu_5 . nu_8 . nu_11 is all suspensions, so a scalar moves onto the
+    # prefix nu_5 . nu_8, whose cited order fact is 2; every atom has order 24
+    (ch,) = R.flatten(parse("nu_5 . nu_8 . nu_11"), db)
+    assert [a.order for a in ch.atoms] == [24, 24, 24]
+    assert db.order_fact(ch.prefix(2)) == 2
+    assert R.chain_annihilator(ch, db) == 2
+    for scalar, shown in (("2", "0"), ("3", "nu_5 . nu_8 . nu_11")):
+        nf = norm(db, f"{scalar} nu_5 . nu_8 . nu_11")
+        assert nf.display() == shown
+        assert nf.is_resolved == (shown == "0")
+        steps = [(s.rule, s.before, s.after) for s in nf.trace]
+        assert steps == [("order-reduce", f"{scalar} (nu_5 . nu_8 . nu_11)",
+                          shown)]
