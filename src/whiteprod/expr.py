@@ -238,7 +238,8 @@ def format_expr(e: Expr) -> str:
         pieces = []
         for t in e.terms:
             if isinstance(t, Scalar) and t.n < 0:
-                if t.n == -1:
+                # "- (k x)" would read back as -k x, so -1 (k x) keeps its 1
+                if t.n == -1 and not isinstance(t.e, Scalar):
                     body = format_expr(t.e)
                     if _needs_parens_in_scalar(t.e):
                         body = f"({body})"

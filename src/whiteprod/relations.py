@@ -74,7 +74,15 @@ class OrderFact:
 
 
 class RelationDB:
-    """Immutable after load; every operation reading it is pure."""
+    """Immutable after load; every operation reading it is pure.
+
+    So the bracket calculus keeps its work here, for the life of the
+    database (see ``whitehead``): ``pair_memo`` holds each bilinear
+    summand k*[u, v] with its trace steps, and ``factor_memo`` the
+    triple-product record of factor forms, factor-pair brackets and
+    shares of J.  Each memo holds at most ``whitehead.SHARE_LIMIT``
+    entries and is cleared when full.  Every ``add_*`` clears both, since
+    a new entry can change any value they hold."""
 
     def __init__(self):
         self._decls: dict[str, GeneratorDecl] = {}
@@ -90,10 +98,18 @@ class RelationDB:
         self._fact_index: dict = {}
         self.fact_lengths: tuple = ()  # ascending atom counts of fact chains
         self.hopf0: dict[str, E.Expr] = {}
+        self.pair_memo: dict = {}  # (k, u, v) -> (k*[u, v], its steps)
+        self.factor_memo: dict = {}  # see whitehead._form, _pair, _share
+
+    def _forget(self):
+        """Clear the bracket work kept for this database."""
+        self.pair_memo.clear()
+        self.factor_memo.clear()
 
     # -- generator declarations -------------------------------------------
 
     def add_decl(self, decl: GeneratorDecl):
+        self._forget()
         if decl.name in self._decls:
             raise RelationsFileError(f"duplicate generator {decl.name!r}")
         self._decls[decl.name] = decl
@@ -105,6 +121,7 @@ class RelationDB:
         self._names.clear()
 
     def add_family(self, fam: Family):
+        self._forget()
         if fam.name in self._families:
             raise RelationsFileError(f"duplicate family {fam.name!r}")
         self._families[fam.name] = fam
@@ -188,6 +205,7 @@ class RelationDB:
     # -- tables -------------------------------------------------------------
 
     def add_table(self, table: GroupTable, chains: list):
+        self._forget()
         if table.key in self.tables:
             raise RelationsFileError(f"duplicate group table for {table.key}")
         self.tables[table.key] = table
@@ -211,6 +229,7 @@ class RelationDB:
     # -- relations and facts ------------------------------------------------
 
     def add_relation(self, rel: Relation):
+        self._forget()
         if not rel.lhs_chain.atoms:
             raise RelationsFileError("rel lhs cannot be an identity")
         prior = self._rel_index.get(rel.lhs_chain)
@@ -232,6 +251,7 @@ class RelationDB:
         return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}))
 
     def add_order_fact(self, fact: OrderFact):
+        self._forget()
         prior = self._fact_index.get(fact.chain)
         if prior is not None and prior.order != fact.order:
             raise ConflictingRelations(
@@ -256,6 +276,7 @@ class RelationDB:
         return self.hopf0.get(key)
 
     def add_hopf0(self, f: E.Expr, value: E.Expr):
+        self._forget()
         nf = R.normalize(f, self)
         key = nf.display()
         if key in self.hopf0:

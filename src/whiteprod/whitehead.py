@@ -18,14 +18,18 @@ lower product), the indeterminacy subgroup, and torsion/suspension
 constraints on a coset representative.  For r >= 4, a product with three
 or more nontrivial factors is ``undetermined``.
 
-Cost rule: one ``triple_coset_constraints`` call, its containment
-recursion on divided factors included, evaluates each distinct factor
-once, brackets each distinct ordered factor pair once, and computes each
-factor's share of J, the generators [gamma, f] for gamma in the basis of
-pi_{M - |f|}, once.  A sub-triple so computes only what involves its
-divided factor.  The shared record lives for that one call; a call of
-``lower_products_vanish``, ``indeterminacy`` or ``bracket`` of its own
-shares nothing with any other call.
+Cost rule: the database is immutable after load, so bracket work is kept
+per database, across calls.  Each bilinear summand k*[u, v] is computed
+once and its trace steps are replayed on every later request
+(``RelationDB.pair_memo``).  The triple-product record
+(``RelationDB.factor_memo``) evaluates each distinct factor once, brackets
+each distinct ordered factor pair once, and computes each factor's share
+of J, the generators [gamma, f] for gamma in the basis of pi_{M - |f|},
+once: a triple call, its containment recursion on divided factors, and
+``indeterminacy`` and ``lower_products_vanish`` calls on the same factors
+all share it.  A ``lower_products_vanish`` given a trace still brackets
+and traces every pair.  Each memo holds at most ``SHARE_LIMIT`` entries
+and is cleared when full; every ``RelationDB.add_*`` clears both.
 """
 
 from __future__ import annotations
@@ -47,10 +51,19 @@ from .parser import MAX_NESTING
 
 _MAX_DEPTH = 2 * MAX_NESTING + 24  # 2 per bracket level, 24 for the rules
 _MAX_CONTAINMENT_DEPTH = 6  # nesting of containment through divided factors
+SHARE_LIMIT = 4096  # entries in each memo kept per database
 
 
 # ---------------------------------------------------------------------------
 # helpers
+
+def _keep(memo: dict, key, value):
+    """Store ``value`` under ``key``, clearing ``memo`` first when full."""
+    if len(memo) >= SHARE_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
 
 def element_to_expr(elt: GroupElement, db) -> E.Expr:
     fs = {}
@@ -169,7 +182,23 @@ def _bracket_nf(nf_f: R.NormalForm, nf_g: R.NormalForm,
 
 def _pair_bracket(k: int, u: R.Chain, v: R.Chain, db,
                   trace) -> Optional[dict]:
-    """One bilinear summand k*[u, v]; returns a formal sum or None."""
+    """One bilinear summand k*[u, v]; returns a formal sum or None.  It is
+    computed once per database and its steps are replayed into ``trace``
+    on every later request; an exception is raised again, never stored."""
+    hit = db.pair_memo.get((k, u, v))
+    if hit is None:
+        steps: list = []
+        out = _pair_value(k, u, v, db, steps)
+        hit = _keep(db.pair_memo, (k, u, v), (out, tuple(steps)))
+    out, steps = hit
+    trace.extend(steps)
+    return None if out is None else dict(out)
+
+
+def _pair_value(k: int, u: R.Chain, v: R.Chain, db,
+                trace) -> Optional[dict]:
+    """``_pair_bracket`` computed: bilinearity, then the first of a ground
+    relation, naturality and the smash split that applies."""
     ann_u = R.chain_annihilator(u, db)
     ann_v = R.chain_annihilator(v, db)
     target = db.table(u.space, u.dom + v.dom - 1)
@@ -366,70 +395,64 @@ def permutation_pullback(spec: ProductSpec, sigma: Sequence[int]):
     return permuted, (-1) ** inversions
 
 
-class _Factors:
-    """The work one ``triple_coset_constraints`` call shares between its
-    steps and down its containment recursion: each factor's normal form,
-    each ordered pair's bracket (order carries the sign) and each factor's
-    share of J.  It lives for one call, its traces are discarded, and an
-    exception is raised again on the next request, never stored."""
+# The triple-product record is the database's ``factor_memo``: each
+# factor's normal form, each ordered pair's bracket (order carries the
+# sign) and each factor's share of J, at most SHARE_LIMIT entries in all,
+# cleared by every ``RelationDB.add_*``.  Traces are discarded, and an
+# exception is raised again on the next request, never stored.  Nothing
+# in it holds the database, so no reference cycle keeps a database alive.
 
-    def __init__(self, db):
-        self.db = db
-        self.forms: dict = {}   # factor -> evaluate(factor)
-        self.pairs: dict = {}   # (f, g) -> [f, g]
-        self.shares: dict = {}  # (f, M) -> the generators [gamma, f] of J
+def _form(f: E.Expr, db) -> R.NormalForm:
+    nf = db.factor_memo.get(("form", f))
+    if nf is None:
+        nf = _keep(db.factor_memo, ("form", f), evaluate(f, db))
+    return nf
 
-    def form(self, f: E.Expr) -> R.NormalForm:
-        nf = self.forms.get(f)
-        if nf is None:
-            nf = self.forms[f] = evaluate(f, self.db)
-        return nf
 
-    def pair(self, f: E.Expr, g: E.Expr) -> R.NormalForm:
-        nf = self.pairs.get((f, g))
-        if nf is None:
-            nf = self.pairs[f, g] = _bracket_of(
-                f, g, self.form(f), self.form(g), self.db, [])
-        return nf
+def _pair(f: E.Expr, g: E.Expr, db) -> R.NormalForm:
+    nf = db.factor_memo.get(("pair", f, g))
+    if nf is None:
+        nf = _keep(db.factor_memo, ("pair", f, g), _bracket_of(
+            f, g, _form(f, db), _form(g, db), db, []))
+    return nf
 
-    def share(self, i: int, f: E.Expr, t: GroupTable, M: int) -> list:
-        """[gamma, f] for gamma in the basis of t = pi_{M - |f|}; ``i``
-        numbers the factor in error messages."""
-        gens = self.shares.get((f, M))
-        if gens is not None:
-            return gens
-        db = self.db
-        nf_f = self.form(f)
-        if not t.is_full:
-            if nf_f.element is None:
-                raise UndeterminedResult(
-                    f"factor {i + 1} does not resolve; cannot license the "
-                    f"partial table {t.key}")
-            o = order_of(nf_f.element)
-            if o is INFINITE or not _prime_support_within(int(o), t.completeness):
-                raise UndeterminedResult(
-                    f"{t.key} is only complete at primes "
-                    f"{sorted(t.completeness)}; the order of factor {i + 1} does "
-                    f"not license ignoring the rest")
-        sig = E.Signature(M - 1, t.key.target)
-        gens = []
-        for ch in db.basis_chains(t.key):
-            shown = ("[{}, {}]", ch, f)
-            if nf_f.fs is None:
-                nf = nf_f  # flattening the factor was blocked
-            else:
-                nf_gamma = evaluate_fs({ch: 1}, ch.signature, db)
-                nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
-            if not nf.is_resolved:
-                raise UndeterminedResult(
-                    f"{R.show(shown)} did not resolve: {nf.reason}")
-            gens.append(nf.element)
-        self.shares[f, M] = gens
+
+def _share(i: int, f: E.Expr, t: GroupTable, M: int, db) -> list:
+    """[gamma, f] for gamma in the basis of t = pi_{M - |f|}; ``i``
+    numbers the factor in error messages."""
+    gens = db.factor_memo.get(("share", f, M))
+    if gens is not None:
         return gens
+    nf_f = _form(f, db)
+    if not t.is_full:
+        if nf_f.element is None:
+            raise UndeterminedResult(
+                f"factor {i + 1} does not resolve; cannot license the "
+                f"partial table {t.key}")
+        o = order_of(nf_f.element)
+        if o is INFINITE or not _prime_support_within(int(o), t.completeness):
+            raise UndeterminedResult(
+                f"{t.key} is only complete at primes "
+                f"{sorted(t.completeness)}; the order of factor {i + 1} does "
+                f"not license ignoring the rest")
+    sig = E.Signature(M - 1, t.key.target)
+    gens = []
+    for ch in db.basis_chains(t.key):
+        shown = ("[{}, {}]", ch, f)
+        if nf_f.fs is None:
+            nf = nf_f  # flattening the factor was blocked
+        else:
+            nf_gamma = evaluate_fs({ch: 1}, ch.signature, db)
+            nf = _bracket_nf(nf_gamma, nf_f, sig, db, [], 0, shown)
+        if not nf.is_resolved:
+            raise UndeterminedResult(
+                f"{R.show(shown)} did not resolve: {nf.reason}")
+        gens.append(nf.element)
+    return _keep(db.factor_memo, ("share", f, M), gens)
 
 
-def lower_products_vanish(spec: ProductSpec, db, *, trace=None,
-                          _factors: Optional[_Factors] = None) -> ProductStatus:
+def lower_products_vanish(spec: ProductSpec, db, *,
+                          trace=None) -> ProductStatus:
     """Check the nonemptiness criterion: all lower products contain zero.
 
     For r > 2 each pair is bracketed once: unresolved gives
@@ -438,22 +461,20 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None,
     on size) exactly when at most two of its factors are nontrivial.  So
     at r >= 4 three nontrivial factors give ``undetermined``; otherwise a
     trivial factor gives ``contains_zero`` and none gives ``nonempty``.
-    A call of its own traces every pair, repeated ones included; inside a
-    triple, ``_factors`` shares the pairs and forms.
+    A call given a ``trace`` brackets and traces every pair, repeated
+    ones included, as separate ``bracket`` calls would; without one, the
+    pairs come from the database's record.
     """
-    if trace is None:
-        trace = []
-    forms = _factors if _factors is not None else _Factors(db)
     spec.signatures(db)
     r = spec.r
     factors = spec.factors
     if r > 2:  # at r = 2 the pair itself is the product
         for i in range(r):
             for j in range(i + 1, r):
-                if _factors is None:
-                    nf = bracket(factors[i], factors[j], db, trace=trace)
+                if trace is None:
+                    nf = _pair(factors[i], factors[j], db)
                 else:
-                    nf = _factors.pair(factors[i], factors[j])
+                    nf = bracket(factors[i], factors[j], db, trace=trace)
                 if not nf.is_resolved:
                     return ProductStatus(
                         "undetermined",
@@ -468,7 +489,7 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None,
                                             f"{E.format_expr(factors[j])}]",
                                  "value": nf.display()})
     zero_slots = [i + 1 for i, f in enumerate(factors)
-                  if forms.form(f).is_zero]
+                  if _form(f, db).is_zero]
     nontrivial = tuple(i for i in range(1, r + 1) if i not in zero_slots)
     if r >= 4 and len(nontrivial) >= 3:
         return ProductStatus("undetermined", reason=(
@@ -482,12 +503,9 @@ def lower_products_vanish(spec: ProductSpec, db, *, trace=None,
                          reason="all lower products contain zero")
 
 
-def indeterminacy(spec: ProductSpec, db, *,
-                  _factors: Optional[_Factors] = None) -> Subgroup:
+def indeterminacy(spec: ProductSpec, db) -> Subgroup:
     """The subgroup by which the product is a coset, for sphere factors:
     the sum of the factors' shares [pi, alpha_i]."""
-    if _factors is None:
-        _factors = _Factors(db)
     sigs = spec.signatures(db)
     target = sigs[0].target
     dims = [s.source_dim for s in sigs]
@@ -501,7 +519,7 @@ def indeterminacy(spec: ProductSpec, db, *,
         t = db.table(target, k)
         if t is None:
             raise MissingTable(f"no table for pi_{k}({target})")
-        gens += _factors.share(i, f, t, M)
+        gens += _share(i, f, t, M, db)
     return subgroup_generated(gens, out_table)
 
 
@@ -514,21 +532,18 @@ def _prime_support_within(n: int, primes: frozenset) -> bool:
     return n == 1
 
 
-def triple_coset_constraints(spec: ProductSpec, db, *, _depth: int = 0,
-                             _factors: Optional[_Factors] = None
-                             ) -> ProductStatus:
+def triple_coset_constraints(spec: ProductSpec, db, *,
+                             _depth: int = 0) -> ProductStatus:
     """Torsion and suspension constraints on a triple-product representative."""
     if spec.r != 3:
         raise DegreeMismatch("triple constraints need exactly three factors")
-    if _factors is None:
-        _factors = _Factors(db)
-    low = lower_products_vanish(spec, db, _factors=_factors)
+    low = lower_products_vanish(spec, db)
     if low.kind in ("empty", "undetermined"):
         return low
     sigs = spec.signatures(db)
     target = sigs[0].target
     M = sum(s.source_dim for s in sigs)
-    J = indeterminacy(spec, db, _factors=_factors)
+    J = indeterminacy(spec, db)
     table = J.table
     constraints: list[str] = []
     notes: list[str] = []
@@ -536,7 +551,7 @@ def triple_coset_constraints(spec: ProductSpec, db, *, _depth: int = 0,
     elements = []
     finite_orders = []
     for f in spec.factors:
-        nf = _factors.form(f)
+        nf = _form(f, db)
         elements.append(nf.element)
         if nf.element is not None:
             o = order_of(nf.element)
@@ -607,8 +622,7 @@ def triple_coset_constraints(spec: ProductSpec, db, *, _depth: int = 0,
                 sub_factors[t] = element_to_expr(divided, db)
                 try:
                     sub = triple_coset_constraints(
-                        ProductSpec(tuple(sub_factors)), db, _depth=_depth + 1,
-                        _factors=_factors)
+                        ProductSpec(tuple(sub_factors)), db, _depth=_depth + 1)
                 except (MissingTable, UndeterminedResult):
                     continue
                 if sub.kind == "coset":

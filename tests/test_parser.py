@@ -143,6 +143,20 @@ def test_parse_format_round_trip(e):
     assert parse(format_expr(e)) == e
 
 
+_ETA = Gen("eta_4")
+
+
+@pytest.mark.parametrize("e, text", [
+    (Sum((_ETA, Scalar(-1, Scalar(0, _ETA)))), "eta_4 - 1 (0 eta_4)"),
+    (Sum((_ETA, Scalar(-1, Scalar(2, _ETA)))), "eta_4 - 1 (2 eta_4)"),
+    (Sum((Scalar(-1, Scalar(2, _ETA)), _ETA)), "- 1 (2 eta_4) + eta_4"),
+])
+def test_negated_multiple_in_a_sum_round_trips(e, text):
+    """-1 times k x keeps its 1: "- (k x)" would read back as -k x."""
+    assert format_expr(e) == text
+    assert parse(text) == e
+
+
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
        st.integers(1, 12))
 @settings(max_examples=80, deadline=None)
