@@ -34,7 +34,7 @@ from . import fatwedge as F
 from . import whitehead as W
 from .parser import parse
 from .relations import load_relations, load_relations_text
-from .scenarios import run_scenario, scenario_names
+from .scenarios import run_scenarios, scenario_names
 
 
 def _load_db(path: str | None):
@@ -77,7 +77,7 @@ def _cmd_eval(args) -> int:
 def _cmd_scenario(args) -> int:
     db = _load_db(args.relations)
     names = scenario_names() if args.name == "all" else [args.name]
-    results = [run_scenario(db, name) for name in names]
+    results = run_scenarios(db, names)
     payload = [r.to_json(with_trace=args.trace) for r in results]
     lines = []
     for r in results:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -32,6 +33,7 @@ from .errors import CalcError, SubgroupMismatch, TableMismatch
 INFINITE = math.inf
 
 SPACE_KINDS = ("S", "RP", "CP", "HP")
+SPHERE_LIMIT = 1024  # spheres kept by ``sphere``
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +55,9 @@ class Space:
         return f"{self.kind}{self.n}"
 
 
+@lru_cache(maxsize=SPHERE_LIMIT)
 def sphere(n: int) -> Space:
+    """S^n, one shared value per n while the cache holds it."""
     return Space("S", n)
 
 

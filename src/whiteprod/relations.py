@@ -40,6 +40,7 @@ from .parser import parse
 # the root of every bracket atom: brackets do not suspend, so a bracket
 # relation matches only at its own sphere
 BRACKET_ROOT = "[,]"
+NAME_LIMIT = 4096  # names in the name memo kept per database
 
 
 @dataclass(eq=False)
@@ -76,24 +77,37 @@ class OrderFact:
 class RelationDB:
     """Immutable after load; every operation reading it is pure.
 
-    So the bracket calculus keeps its work here, for the life of the
-    database (see ``whitehead``): ``pair_memo`` holds each bilinear
-    summand k*[u, v] with its trace steps, and ``factor_memo`` the
-    triple-product record of factor forms, factor-pair brackets and
-    shares of J.  Each memo holds at most ``whitehead.SHARE_LIMIT``
-    entries and is cleared when full.  Every ``add_*`` clears both, since
-    a new entry can change any value they hold."""
+    So the database keeps what its entries fix, for its own life:
+
+    - the name memo ``_names``: per name an input or the file spells, its
+      family, sphere index and declaration, and once ``gen_chain`` asks,
+      the one chain the name flattens to, so that a generator leaf is one
+      dict hit and its chain is hashed once.  It holds at most
+      ``NAME_LIMIT`` names and is cleared when full; ``add_decl`` and
+      ``add_family``, the only entries a name's chain reads, clear it;
+    - the pair index ``_pairs``: each relation whose left side is one
+      bracket atom [u, v] of unit chains, under (u, v), so a ground
+      bracket is one dict hit (``bracket_relation``).  ``add_relation``
+      extends it, and nothing clears it, since relations are only added;
+    - the bracket calculus's work (see ``whitehead``): ``pair_memo`` holds
+      each bilinear summand k*[u, v] with its trace steps, and
+      ``factor_memo`` the triple-product record of factor forms,
+      factor-pair brackets and shares of J.  Each holds at most
+      ``whitehead.SHARE_LIMIT`` entries and is cleared when full.  Every
+      ``add_*`` clears both, since a new entry can change any value they
+      hold."""
 
     def __init__(self):
         self._decls: dict[str, GeneratorDecl] = {}
         self._families: dict[str, Family] = {}
-        self._names: dict[str, tuple] = {}  # see _lookup
+        self._names: dict[str, tuple] = {}  # see _lookup and gen_chain
         self._susp_links: dict[str, str] = {}  # name -> name of its suspension
         self.tables: dict[TableKey, GroupTable] = {}
         self._basis: dict[TableKey, list] = {}
         self._basis_index: dict = {}
         self.relations: list[Relation] = []
         self._rel_index: dict = {}
+        self._pairs: dict = {}  # (u, v) -> the relation [u, v] = ...
         self._heads: dict[str, list] = {}  # see relations_at
         self._fact_index: dict = {}
         self.fact_lengths: tuple = ()  # ascending atom counts of fact chains
@@ -129,10 +143,10 @@ class RelationDB:
         self._names.clear()
 
     def _lookup(self, name: str) -> Optional[tuple]:
-        """(family, sphere index, declaration) of a family member at or
-        above its base, (None, None, declaration) of another declared name,
-        else None.  Each name is parsed once; the engine looks up no name
-        it builds, so the memo is bounded by the file and the inputs."""
+        """(family, sphere index, declaration, chain) of a family member at
+        or above its base, (None, None, declaration, chain) of another
+        declared name, else None; the chain is None until ``gen_chain``
+        stores it.  Each name is parsed once while the memo holds it."""
         hit = self._names.get(name)
         if hit is not None:
             return hit
@@ -145,13 +159,37 @@ class RelationDB:
                     name=name, source_dim=fam.decl.source_dim + idx - fam.base,
                     target=sphere(idx), order=fam.default_order,
                     suspension_of=join_name(fam.name, idx - 1, fam.style))
-            hit = fam, idx, decl
+            hit = fam, idx, decl, None
         elif decl is not None:
-            hit = None, None, decl
+            hit = None, None, decl, None
         else:
             return None
+        return self._remember(name, hit)
+
+    def _remember(self, name: str, hit: tuple) -> tuple:
+        """Store ``hit`` under ``name``, clearing the memo first when full."""
+        if len(self._names) >= NAME_LIMIT:
+            self._names.clear()
         self._names[name] = hit
         return hit
+
+    def gen_chain(self, name: str):
+        """The one chain the declared ``name`` flattens to (the identity of
+        S^n for iota_n, else its generator atom), or None when undeclared.
+        It is built on the first call and kept in the name memo."""
+        hit = self._names.get(name) or self._lookup(name)
+        if hit is None:
+            return None
+        chain = hit[3]
+        if chain is None:
+            decl = hit[2]
+            if decl.target.is_sphere and decl.source_dim == decl.target.n:
+                chain = R.identity_chain(decl.source_dim)
+            else:
+                atom = R._gen_atom(self, name)
+                chain = R.Chain((atom,), atom.dom, atom.space)
+            self._remember(name, hit[:3] + (chain,))
+        return chain
 
     def _family_index(self, name: str) -> Optional[tuple]:
         """(family, sphere index) of a family member at or above its base."""
@@ -237,7 +275,12 @@ class RelationDB:
             raise ConflictingRelations(
                 f"lhs {E.format_expr(rel.lhs)!r} already rewritten by {prior.name}")
         self._rel_index[rel.lhs_chain] = rel
-        root = self.head_root(rel.lhs_chain.atoms[0])
+        atoms = rel.lhs_chain.atoms
+        if len(atoms) == 1 and isinstance(atoms[0], R.BracketAtom):
+            u, v = _unit(atoms[0].left), _unit(atoms[0].right)
+            if u is not None and v is not None:
+                self._pairs[u, v] = rel
+        root = self.head_root(atoms[0])
         self._heads.setdefault(root, []).append((len(self.relations), rel))
         self.relations.append(rel)
 
@@ -248,7 +291,8 @@ class RelationDB:
         return self._heads.get(root, [])
 
     def bracket_relation(self, left, right) -> Optional[Relation]:
-        return self._rel_index.get(R.bracket_chain({left: 1}, {right: 1}))
+        """The relation whose left side is [left, right], or None."""
+        return self._pairs.get((left, right))
 
     def add_order_fact(self, fact: OrderFact):
         self._forget()
@@ -457,7 +501,7 @@ def _susp_link(db: RelationDB, ln: _Line):
     """Validate a gen line's susp_of link; runs once every family exists.
     A family member above its base links to the member below, and its
     order becomes the family's order at its index."""
-    fam, idx, decl = db._lookup(ln.body.split()[0])
+    fam, idx, decl, _ = db._lookup(ln.body.split()[0])
     member = None  # the member below, for a member above its base
     if fam is not None and idx > fam.base:
         member = join_name(fam.name, idx - 1, fam.style)

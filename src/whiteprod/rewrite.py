@@ -22,7 +22,9 @@ Each phase costs O(n) for a formal sum of n atoms in all, the database
 substitution, reduce and rewrite revisit only the chains it created or
 changed (see ``_Worklist``):
 
-  flatten    a composition folds left to right; while the product is a
+  flatten    a generator name is one memo hit on the database, which
+             keeps the chain the name flattens to, hashed once;
+             a composition folds left to right; while the product is a
              single term it gathers its atoms in one list and builds its
              chain once (a product of sums folds pairwise); x^k, which
              means x . S^d x . ... . S^((k-1)d) x, is built without that
@@ -448,15 +450,15 @@ def smash_fs(a: dict, b: dict, q: int, p_src: int, db) -> dict:
 
 def flatten(e: E.Expr, db) -> dict:
     """Expr -> formal sum; raises Blocked on non-distributable shapes and
-    FlattenLimitExceeded before building a sum past FLATTEN_LIMIT atoms."""
+    FlattenLimitExceeded before building a sum past FLATTEN_LIMIT atoms.
+    A generator name is one lookup: the database keeps the chain each
+    declared name flattens to (``RelationDB.gen_chain``), and every call
+    returns a fresh sum holding it."""
     if isinstance(e, E.Gen):
-        decl = db.decl(e.name)
-        if decl is None:
+        chain = db.gen_chain(e.name)
+        if chain is None:
             raise UnknownGenerator(f"undeclared generator {e.name!r}")
-        if decl.target.is_sphere and decl.source_dim == decl.target.n:
-            return {identity_chain(decl.source_dim): 1}
-        atom = _gen_atom(db, e.name)
-        return {Chain((atom,), atom.dom, atom.space): 1}
+        return {chain: 1}
     if isinstance(e, E.Compose):
         out = fs_compose_all(flatten(g, db) for g in E.compose_factors(e))
         if out is None:

@@ -3,6 +3,8 @@
 Expected values live in ``data/scenarios.json`` together with provenance
 tags, so the acceptance surface is data rather than code.  A scenario
 passes iff every pinned key matches the computed value exactly.
+``run_scenarios`` reads and parses that file once for all the scenarios
+it runs; ``run_scenario`` runs one.
 """
 
 from __future__ import annotations
@@ -194,10 +196,21 @@ def scenario_names() -> list:
 
 
 def run_scenario(db, name: str) -> ScenarioResult:
-    if name not in _RUNNERS:
-        raise UnknownScenario(
-            f"unknown scenario {name!r}; available: {', '.join(_RUNNERS)}")
-    fixture = _fixtures()[name]
+    return run_scenarios(db, [name])[0]
+
+
+def run_scenarios(db, names) -> list:
+    """The results of the named scenarios, in order, all checked against
+    one read of the fixture file."""
+    for name in names:
+        if name not in _RUNNERS:
+            raise UnknownScenario(
+                f"unknown scenario {name!r}; available: {', '.join(_RUNNERS)}")
+    fixtures = _fixtures()
+    return [_run(db, name, fixtures[name]) for name in names]
+
+
+def _run(db, name: str, fixture: dict) -> ScenarioResult:
     expected = fixture["expect"]
     trace: list = []
     computed = _RUNNERS[name](db, trace)
