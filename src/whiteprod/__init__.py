@@ -6,15 +6,19 @@ rewrite engine over exact finitely generated abelian group tables,
 computes indeterminacy subgroups and coset constraints for triple
 products, and models the integral cohomology of sphere-product filtration
 quotients with its cup product.
+
+``import whiteprod`` loads the expression engine only.  Two submodules
+load on first use, through the module ``__getattr__`` below: ``fatwedge``
+(the cohomology of the filtration quotients) and ``scenarios`` (the pinned
+computations, which read their fixtures with ``json``).  The first use of
+any of their exported names, or of the module itself, imports it and binds
+all of its exported names here, so later uses are plain attribute reads.
 """
 
 from .errors import CalcError
 from .expr import (Bracket, Compose, Gen, HigherBracket, Power, Scalar,
                    Signature, Sum, Susp, ZERO, expand_powers, format_expr,
                    gen, typecheck)
-from .fatwedge import (CohomClass, QuotientRing, SphereTuple, Witness, cup,
-                       omega_nontriviality, retraction_obstruction, ring,
-                       sphere_tuple)
 from .groups import (Coset, GeneratorDecl, GroupElement, GroupTable,
                      INFINITE, Space, Subgroup, TableGen, TableKey, add,
                      coset_eq, enumerate_elements, order_of, sphere,
@@ -22,13 +26,38 @@ from .groups import (Coset, GeneratorDecl, GroupElement, GroupTable,
 from .parser import parse
 from .relations import RelationDB, load_relations, load_relations_text
 from .rewrite import NormalForm, TraceStep, normalize, smash, suspend
-from .scenarios import ScenarioResult, run_scenario, scenario_names
 from .whitehead import (ProductSpec, ProductStatus, bracket, evaluate,
                         indeterminacy, known_results, lower_products_vanish,
                         permutation_pullback, product_spec,
                         triple_coset_constraints, whitehead_projective)
 
 __version__ = "0.1.0"
+
+# the names each submodule that loads on first use exports here
+_LAZY = {
+    "fatwedge": ("CohomClass", "QuotientRing", "SphereTuple", "Witness",
+                 "cup", "omega_nontriviality", "retraction_obstruction",
+                 "ring", "sphere_tuple"),
+    "scenarios": ("ScenarioResult", "run_scenario", "scenario_names"),
+}
+_LAZY_HOME = {name: mod for mod, names in _LAZY.items()
+              for name in (mod, *names)}
+
+
+def __getattr__(name):
+    mod = _LAZY_HOME.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f".{mod}", __name__)  # binds whiteprod.<mod>
+    g = globals()
+    g.update((n, getattr(module, n)) for n in _LAZY[mod])
+    return g[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_HOME})
+
 
 __all__ = [
     "Bracket", "CalcError", "CohomClass", "Compose", "Coset", "Gen",

@@ -23,18 +23,18 @@ diagnostics to stderr; JSON output is stable across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 
 from .errors import (BadLevels, CalcError, DegreeMismatch, ExprSyntaxError,
                      MixedTargets, RelationsFileError, UnknownGenerator,
                      UnknownScenario)
-from . import fatwedge as F
 from . import whitehead as W
 from .parser import parse
 from .relations import load_relations, load_relations_text
-from .scenarios import run_scenarios, scenario_names
+
+# ``fatwedge``, ``scenarios`` and ``json`` are imported by the commands
+# that use them, so that ``eval`` never loads them.
 
 
 def _load_db(path: str | None):
@@ -47,6 +47,7 @@ def _load_db(path: str | None):
 
 def _emit(obj, fmt: str, text_lines) -> None:
     if fmt == "json":
+        import json
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -75,6 +76,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from .scenarios import run_scenarios, scenario_names
     db = _load_db(args.relations)
     names = scenario_names() if args.name == "all" else [args.name]
     results = run_scenarios(db, names)
@@ -98,6 +100,7 @@ def _ints(text: str) -> tuple:
 
 
 def _cmd_fatwedge(args) -> int:
+    from . import fatwedge as F
     dims = _ints(args.dims)
     tup = F.sphere_tuple(*dims)
     if args.r is not None and args.r != tup.r:

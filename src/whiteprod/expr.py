@@ -6,6 +6,11 @@ only (``eta_4^2`` means ``eta_4 . eta_5``): typechecking reads their
 signature, and they are expanded against the generator declarations
 when flattened; the parse tree keeps the Power node so that
 parse/format round-trips are structural.
+
+The nodes are equal and hashed by type and fields, as memo keys must be,
+but they carry no generated ``repr`` (``format_expr`` shows them) and no
+run-time freezing: nothing assigns a node's fields after construction,
+which ``tests/test_value_types.py`` checks in the source.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from .errors import DegreeMismatch, MixedTargets, UnknownGenerator
 from .groups import Space, sphere
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Signature:
+    """pi_source_dim(target), shown as such by ``str``."""
+
     source_dim: int
     target: Space
 
@@ -26,47 +33,63 @@ class Signature:
         return f"pi_{self.source_dim}({self.target})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Gen:
+    """A declared generator, by name."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Compose:
+    """f . g: g first, then f."""
+
     f: "Expr"
     g: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Susp:
+    """The suspension S^count e."""
+
     count: int
     e: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Sum:
+    """t1 + t2 + ...; the empty sum is ZERO."""
+
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Scalar:
+    """The multiple n e."""
+
     n: int
     e: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Bracket:
+    """The Whitehead product [f, g]."""
+
     f: "Expr"
     g: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class HigherBracket:
+    """The higher product w[f1, ..., fr]."""
+
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class Power:
+    """e^k, iterated composition with suspended copies."""
+
     e: "Expr"
     k: int
 

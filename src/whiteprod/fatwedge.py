@@ -49,8 +49,10 @@ LIST_LIMIT = 1 << 16
 PACK_ROW = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class SphereTuple:
+    """The dimensions (m_1, ..., m_r), r >= 2, each at least 1."""
+
     dims: tuple
 
     def __post_init__(self):
@@ -272,8 +274,12 @@ def cup(x: CohomClass, y: CohomClass, ring_: QuotientRing) -> CohomClass:
     return CohomClass(out)  # drops the coefficients that cancelled
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Witness:
+    """A complementary pair of basis subsets whose cup product, of degree
+    ``degree``, vanishes in the ring at levels ``vanishing_ring`` but not
+    in the ring at ``nonvanishing_ring``; read through ``to_json``."""
+
     left: tuple
     right: tuple
     degree: int

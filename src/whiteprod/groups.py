@@ -22,7 +22,7 @@ calculus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -68,14 +68,16 @@ def parse_space(text: str) -> Space:
     raise CalcError(f"cannot parse space tag {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class GeneratorDecl:
     """A named generator of some homotopy group pi_k(target).
 
     ``order`` 0 encodes infinite order.  ``suspension_of`` names the
     generator one suspension below, for an explicit link and for every
     family member above the base; ``is_suspension`` is derived from it.
-    ``family`` is set on a family's base only, by the relations loader.
+    ``family`` is set on a family's base only, by the relations loader
+    through ``dataclasses.replace``.  Compared by identity (generator
+    atoms compare by name), and never assigned after construction.
     """
 
     name: str
@@ -83,7 +85,7 @@ class GeneratorDecl:
     target: Space
     order: int
     suspension_of: str | None = None
-    family: object = field(default=None, compare=False, repr=False)
+    family: object = None
 
     def __post_init__(self):
         if self.order < 0:
@@ -94,8 +96,10 @@ class GeneratorDecl:
         return self.suspension_of is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TableKey:
+    """The key of the table of pi_k(target), shown as such by ``str``."""
+
     target: Space
     k: int
 
@@ -103,9 +107,10 @@ class TableKey:
         return f"pi_{self.k}({self.target})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, repr=False)
 class TableGen:
-    """One cyclic summand: a display label plus its exact order."""
+    """One cyclic summand: a display label plus its exact order.  Equal
+    and hashed by both, and never assigned after construction."""
 
     label: str
     order: int
@@ -395,8 +400,10 @@ def subgroup_generated(elems: Sequence[GroupElement],
     return Subgroup(table, elems)
 
 
-@dataclass
+@dataclass(repr=False)
 class Coset:
+    """representative + subgroup; equal as cosets (``coset_eq``)."""
+
     representative: GroupElement
     subgroup: Subgroup
 

@@ -31,8 +31,10 @@ _SYMBOLS = ".^+-*[](),"
 MAX_NESTING = 100
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class _Tok:
+    """One token and where it starts, for error messages."""
+
     kind: str  # NAME INT SYM SUSP HIGHER COMPOSE END
     text: str
     line: int

@@ -25,7 +25,7 @@ which the sign choice does not affect.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 from . import expr as E
@@ -43,41 +43,56 @@ BRACKET_ROOT = "[,]"
 NAME_LIMIT = 4096  # names in the name memo kept per database
 
 
-@dataclass(eq=False)
 class Family:
-    """``decl`` is the base's declaration, which names the family back;
-    ``orders`` holds the order of each member a gen line declares."""
+    """``style`` is '_' or '()'; ``decl``, set by the loader, is the base's
+    declaration, which names the family back; ``orders`` holds the order of
+    each member a gen line declares, by sphere index."""
 
-    name: str
-    base: int
-    default_order: int
-    style: str  # '_' or '()'
-    decl: GeneratorDecl = field(default=None, repr=False)
-    orders: dict = field(default_factory=dict, repr=False)  # index -> order
+    __slots__ = ("name", "base", "default_order", "style", "decl", "orders")
+
+    def __init__(self, name: str, base: int, default_order: int, style: str):
+        self.name, self.base, self.style = name, base, style
+        self.default_order = default_order
+        self.decl: Optional[GeneratorDecl] = None
+        self.orders: dict[int, int] = {}
 
 
-@dataclass
 class Relation:
-    name: str
-    lhs: E.Expr
-    rhs: E.Expr
-    provenance: str
-    lhs_chain: "R.Chain" = None
-    rhs_fs: dict = None
+    """A rel line ``lhs = rhs``, with lhs's chain and rhs's formal sum."""
+
+    __slots__ = ("name", "lhs", "rhs", "provenance", "lhs_chain", "rhs_fs")
+
+    def __init__(self, name: str, lhs: E.Expr, rhs: E.Expr, provenance: str,
+                 lhs_chain: R.Chain, rhs_fs: dict):
+        self.name, self.lhs, self.rhs = name, lhs, rhs
+        self.provenance = provenance
+        self.lhs_chain, self.rhs_fs = lhs_chain, rhs_fs
 
 
-@dataclass
 class OrderFact:
-    expr: E.Expr
-    order: int
-    provenance: str
-    chain: "R.Chain" = None
+    """An orderfact line: ``expr``, with its chain, has order ``order``."""
+
+    __slots__ = ("expr", "order", "provenance", "chain")
+
+    def __init__(self, expr: E.Expr, order: int, provenance: str,
+                 chain: R.Chain):
+        self.expr, self.order = expr, order
+        self.provenance, self.chain = provenance, chain
 
 
 class RelationDB:
-    """Immutable after load; every operation reading it is pure.
+    """The entries of one relations file, and memos of what they fix.
 
-    So the database keeps what its entries fix, for its own life:
+    Load fixes the entries, through the ``add_*`` methods: declarations
+    and families, group tables with their basis chains, relations with
+    their indexes, order facts and hopf0 values.  One index is the pair
+    index ``_pairs``: each relation whose left side is one bracket atom
+    [u, v] of unit chains, under (u, v), so that a ground bracket is one
+    dict hit (``bracket_relation``).  Nothing changes the entries after
+    load.  What does change after load is the memos below.  Each holds
+    only values the entries already fix, so every operation that reads
+    the database answers the same whether a memo is full, cleared or
+    empty:
 
     - the name memo ``_names``: per name an input or the file spells, its
       family, sphere index and declaration, and once ``gen_chain`` asks,
@@ -85,10 +100,6 @@ class RelationDB:
       dict hit and its chain is hashed once.  It holds at most
       ``NAME_LIMIT`` names and is cleared when full; ``add_decl`` and
       ``add_family``, the only entries a name's chain reads, clear it;
-    - the pair index ``_pairs``: each relation whose left side is one
-      bracket atom [u, v] of unit chains, under (u, v), so a ground
-      bracket is one dict hit (``bracket_relation``).  ``add_relation``
-      extends it, and nothing clears it, since relations are only added;
     - the bracket calculus's work (see ``whitehead``): ``pair_memo`` holds
       each bilinear summand k*[u, v] with its trace steps, and
       ``factor_memo`` the triple-product record of factor forms,
@@ -340,12 +351,11 @@ _KV_RE = re.compile(r"^([A-Za-z_0-9]+)=(.+)$")
 _ENTRY_RE = re.compile(r"^Z([0-9]*)\{(.+)\}$")
 
 
-@dataclass
 class _Line:
-    lineno: int
-    kind: str
-    body: str
-    src: str
+    __slots__ = ("lineno", "kind", "body", "src")
+
+    def __init__(self, lineno: int, kind: str, body: str, src: str):
+        self.lineno, self.kind, self.body, self.src = lineno, kind, body, src
 
 
 def _split_lines(text: str) -> list[_Line]:

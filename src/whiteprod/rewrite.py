@@ -134,9 +134,11 @@ class GenAtom:
         return ("g", name) if not k else ("s", k, "g", name)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BracketAtom:
-    """[f, g]; each side a tuple of (Chain, coeff) sorted by Chain.key."""
+    """[f, g]; each side a tuple of (Chain, coeff) sorted by Chain.key.
+    Never assigned after construction (``tests/test_value_types.py``); its
+    repr is part of its chain's."""
 
     left: tuple
     right: tuple
@@ -556,7 +558,7 @@ def show(x) -> str:
 # ---------------------------------------------------------------------------
 # normal forms and traces
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TraceStep:
     """One rewrite or bracket-rule step, kept as data and rendered when
     read: ``detail``, ``before`` and ``after`` render their stored values
@@ -588,7 +590,7 @@ class TraceStep:
                 "provenance": self.provenance}
 
 
-@dataclass
+@dataclass(repr=False)
 class NormalForm:
     """A resolved form is zero exactly when ``fs`` is empty; its element
     is None only when its signature has no table.  A residue keeps its

@@ -25,8 +25,10 @@ def _fixtures() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScenarioResult:
+    """A scenario's computed and expected values; read through ``to_json``."""
+
     name: str
     passed: bool
     computed: dict

@@ -321,8 +321,10 @@ def _smash_split(k: int, u: R.Chain, v: R.Chain, db, trace) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # product specifications and statuses
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ProductSpec:
+    """The factors of a higher product, at least two."""
+
     factors: tuple
 
     def __post_init__(self):
@@ -353,8 +355,10 @@ def product_spec(*factors: E.Expr) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ProductStatus:
+    """What is known of a product set; read through ``to_json``."""
+
     kind: str  # empty | contains_zero | nonempty | coset | constrained_coset | undetermined
     reason: str = ""
     witness: Optional[dict] = None

@@ -135,3 +135,40 @@ def test_the_unfrozen_classes_are_in_the_scan():
     classes = {node.name for _, tree in _modules() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
     assert _UNFROZEN <= classes
+
+
+# the classes that were frozen dataclasses before start-up stopped paying
+# for run-time freezing: nothing assigns their fields once they are made
+_ONCE_FROZEN = {"GeneratorDecl", "TableGen", "Gen", "Compose", "Susp", "Sum",
+                "Scalar", "Bracket", "HigherBracket", "Power", "SphereTuple",
+                "Witness", "BracketAtom", "ProductSpec"}
+
+
+def test_once_frozen_values_are_assigned_only_in_init():
+    found = {(cls, fn, target) for _, tree in _modules()
+             for cls, fn, target in _stores(tree)
+             if cls in _ONCE_FROZEN and fn not in ("__init__", "__post_init__")}
+    assert found == set()
+
+
+def test_the_once_frozen_classes_are_in_the_scan():
+    classes = {node.name for _, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert _ONCE_FROZEN <= classes
+
+
+@pytest.mark.parametrize("text", [
+    "eta_4", "eta_4 . eta_5", "S^2 nu'", "2 nu_4 - Snu'", "[eta_4, 2 iota_4]",
+    "w[iota_2, iota_2, iota_2]", "eta_4^2"])
+def test_expr_nodes_compare_and_hash_by_structure(text):
+    a, b = parse(text), parse(text)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_expr_nodes_of_different_types_differ():
+    f, g = parse("eta_4"), parse("nu_4")
+    assert whiteprod.Compose(f, g) != whiteprod.Bracket(f, g)
+    assert whiteprod.Compose(f, g) != whiteprod.Compose(g, f)
+    assert whiteprod.Gen("eta_4") == f != whiteprod.Gen("nu_4")
