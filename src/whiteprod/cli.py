@@ -5,9 +5,10 @@
     whiteprod fatwedge --dims 2,2,2,2 --obstruction
     whiteprod tables --format json
 
-Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error or
-calculation limit, 3 unresolved residue (printed), 4 I/O error or malformed
-relations file.  ``scenario`` exits 1 on a failed expectation, 2 on a
+Exit codes for ``eval``: 0 resolved, 1 parse error, 2 typecheck error,
+calculation limit or a result coefficient too long to print, 3 unresolved
+residue (printed), 4 I/O error or malformed relations file (not UTF-8
+included).  ``scenario`` exits 1 on a failed expectation, 2 on a
 typecheck or other calculation error, 4 on an unknown name, I/O error or
 malformed relations file; ``fatwedge`` exits 2 on bad dimensions (not
 integers, or below 1), bad levels, a listing of more than
@@ -26,9 +27,9 @@ import argparse
 import sys
 from importlib import resources
 
-from .errors import (BadLevels, CalcError, DegreeMismatch, ExprSyntaxError,
-                     MixedTargets, RelationsFileError, UnknownGenerator,
-                     UnknownScenario)
+from .errors import (BadLevels, CalcError, DegreeMismatch,
+                     DisplayLimitExceeded, ExprSyntaxError, MixedTargets,
+                     RelationsFileError, UnknownGenerator, UnknownScenario)
 from . import whitehead as W
 from .parser import parse
 from .relations import load_relations, load_relations_text
@@ -59,19 +60,28 @@ def _cmd_eval(args) -> int:
     expr = parse(args.expr)
     trace: list = []
     nf = W.evaluate(expr, db, trace=trace)
-    payload = nf.to_json()
-    if args.trace:
-        payload["trace"] = [s.to_json() for s in trace]
-    lines = [nf.display()]
-    if not nf.is_resolved:
-        lines.append(f"unresolved: {nf.reason}")
-    if args.trace:
-        lines.append("trace:")
-        for s in trace:
-            prov = f"   [{s.provenance}]" if s.provenance else ""
-            lines.append(f"  {s.rule}: {s.detail}{prov}")
-            lines.append(f"      {s.before}  ==>  {s.after}")
-    _emit(payload, args.format, lines)
+    try:
+        payload = nf.to_json()
+        if args.trace:
+            payload["trace"] = [s.to_json() for s in trace]
+        lines = [nf.display()]
+        if not nf.is_resolved:
+            lines.append(f"unresolved: {nf.reason}")
+        if args.trace:
+            lines.append("trace:")
+            for s in trace:
+                prov = f"   [{s.provenance}]" if s.provenance else ""
+                lines.append(f"  {s.rule}: {s.detail}{prov}")
+                lines.append(f"      {s.before}  ==>  {s.after}")
+        _emit(payload, args.format, lines)
+    except ValueError as exc:
+        # only str() of an int past sys.get_int_max_str_digits() is caught
+        if "integer string conversion" not in str(exc):
+            raise
+        raise DisplayLimitExceeded(
+            "a coefficient of the result has more digits than Python's "
+            f"limit of {sys.get_int_max_str_digits()} for printing an "
+            "integer (sys.set_int_max_str_digits)") from None
     return 0 if nf.is_resolved else 3
 
 

@@ -73,6 +73,10 @@ class DepthLimitExceeded(CalcError):
     """Bracket expansion nested deeper than its depth budget."""
 
 
+class DisplayLimitExceeded(CalcError):
+    """A result coefficient has more digits than Python turns into text."""
+
+
 class RelationsFileError(CalcError):
     """Malformed line in a relations file."""
 

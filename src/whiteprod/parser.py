@@ -17,6 +17,7 @@ Unicode input is accepted and folded to the ASCII forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError
@@ -99,6 +100,17 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+def _int(t: _Tok) -> int:
+    """The value of an INT token.  A literal longer than Python converts
+    (``sys.get_int_max_str_digits()``) is a syntax error at the token."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"an integer of {len(t.text)} digits exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits", t.line, t.col) from None
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
@@ -144,7 +156,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "INT":
             self.next()
-            n = int(t.text)
+            n = _int(t)
             if self.at_sym("*"):
                 self.next()
             nxt = self.peek()
@@ -169,8 +181,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.at_sym("^"):
             tok = self.next()
-            exp = self.expect("INT")
-            k = int(exp.text)
+            k = _int(self.expect("INT"))
             if k < 1:
                 raise ExprSyntaxError("power must be positive", tok.line, tok.col)
             return Power(atom, k) if k > 1 else atom
@@ -201,7 +212,7 @@ class _Parser:
             count = 1
             if self.at_sym("^"):
                 self.next()
-                count = int(self.expect("INT").text)
+                count = _int(self.expect("INT"))
                 if count < 1:
                     raise ExprSyntaxError("suspension count must be positive",
                                           t.line, t.col)

@@ -629,8 +629,13 @@ _PASSES = [{"gen": _gen}, {"family": _family}, {"gen": _susp_link},
 
 def load_relations(path: str) -> RelationDB:
     """Parse a relations file and build a finalized, validated database."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RelationsFileError(f"not UTF-8 text ({exc.reason})", path,
+                                 data.count(b"\n", 0, exc.start) + 1) from None
     return load_relations_text(text, path)
 
 
